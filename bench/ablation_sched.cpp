@@ -44,7 +44,7 @@ hnoc::Cluster make_cluster() {
   hnoc::ClusterBuilder b;
   for (int i = 0; i < 12; ++i) {
     const double speed = i < 4 ? 100.0 : (i < 8 ? 80.0 : 60.0);
-    b.add("m" + std::to_string(i), speed);
+    b.add(std::string("m").append(std::to_string(i)), speed);
   }
   b.network(1e-3, 2e6);
   return b.build();

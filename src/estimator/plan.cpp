@@ -174,63 +174,10 @@ double Plan::evaluate(std::span<const int> mapping,
                       const hnoc::NetworkModel& network,
                       EstimateOptions options) const {
   check_mapping(num_procs_, mapping, network);
-
-  if (!from_scheme_) {
-    // The fallback bound of est::estimate_time, term for term.
-    std::vector<double> cost(volumes_.size(), 0.0);
-    for (std::size_t a = 0; a < volumes_.size(); ++a) {
-      cost[a] = volumes_[a] / network.speed(mapping[a]);
-    }
-    for (const PlanLink& l : links_) {
-      const int ps = mapping[static_cast<std::size_t>(l.src)];
-      const int pd = mapping[static_cast<std::size_t>(l.dst)];
-      const double t = network.link(ps, pd).transfer_time(l.bytes);
-      cost[static_cast<std::size_t>(l.src)] += t;
-      cost[static_cast<std::size_t>(l.dst)] += t;
-    }
-    return cost.empty() ? 0.0
-                        : *std::max_element(cost.begin(), cost.end());
-  }
-
-  const int P = network.size();
-  std::vector<double> time(static_cast<std::size_t>(num_procs_), 0.0);
-  std::vector<double> busy(static_cast<std::size_t>(P) *
-                               static_cast<std::size_t>(P),
-                           0.0);
-  struct Frame {
-    std::vector<double> snap_time, snap_busy;  // par block entry
-    std::vector<double> acc_time, acc_busy;    // running element-wise max
-  };
-  std::vector<Frame> frames;
-  for (const PlanOp& op : ops_) {
-    switch (op.kind) {
-      case PlanOp::Kind::kCompute:
-        op_compute(op, mapping, network, time);
-        break;
-      case PlanOp::Kind::kTransfer:
-        op_transfer(op, mapping, network, options, P, time, busy);
-        break;
-      case PlanOp::Kind::kParBegin:
-        frames.push_back({time, busy, time, busy});
-        break;
-      case PlanOp::Kind::kParIterBegin: {
-        Frame& f = frames.back();
-        merge_max_into(f.acc_time, f.acc_busy, time, busy);
-        time = f.snap_time;
-        busy = f.snap_busy;
-        break;
-      }
-      case PlanOp::Kind::kParEnd: {
-        Frame& f = frames.back();
-        merge_max_into(f.acc_time, f.acc_busy, time, busy);
-        time = std::move(f.acc_time);
-        busy = std::move(f.acc_busy);
-        frames.pop_back();
-        break;
-      }
-    }
-  }
-  return time.empty() ? 0.0 : *std::max_element(time.begin(), time.end());
+  // One mapping is a slot-major batch of one: the mapping itself.
+  double makespan = 0.0;
+  evaluate_batch(mapping, 1, network, options, std::span<double>(&makespan, 1));
+  return makespan;
 }
 
 // --- DeltaEvaluator ----------------------------------------------------------
@@ -652,7 +599,7 @@ void BatchEvaluator::evaluate(const Plan& plan, std::span<const int> procs_soa,
   }
 
   if (!plan.from_scheme_) {
-    // The fallback bound, term for term per candidate (cf. Plan::evaluate).
+    // The fallback bound of est::estimate_time, term for term per candidate.
     cost_.assign(p * count, 0.0);
     for (std::size_t a = 0; a < p; ++a) {
       for (std::size_t i = 0; i < count; ++i) {

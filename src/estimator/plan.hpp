@@ -11,10 +11,20 @@
 //                   ordered op list (compute/transfer/par markers) with the
 //                   volume and byte factors pre-resolved per op, plus the
 //                   (src, dst, bytes) link terms and per-processor incidence
-//                   lists of the no-scheme fallback. Plan::evaluate walks the
-//                   array with the exact floating-point operations of
-//                   TimelineMachine — compiled and interpreted estimates are
-//                   bit-identical by construction.
+//                   lists of the no-scheme fallback.
+//   BatchEvaluator — the one estimate kernel: structure-of-arrays pricing of
+//                   a candidate set in one pass. The op list is walked once,
+//                   each op's inner loop runs contiguously over all
+//                   candidates (slot-major speed/time/busy arrays, no
+//                   per-candidate allocation). Busy state is kept per
+//                   *abstract* transfer pair — O(Q) slots, with
+//                   per-candidate aliasing of pairs that land on the same
+//                   physical link — so P=1000 costs the same per candidate
+//                   as P=9. Every op performs the exact floating-point
+//                   operations of TimelineMachine, so compiled and
+//                   interpreted estimates are bit-identical by construction.
+//                   Plan::evaluate is this kernel at count=1 (on a
+//                   thread-local evaluator), as is Plan::evaluate_batch.
 //   DeltaEvaluator — incremental re-estimation for the hill climbers: when a
 //                   move changes the processors of a few abstract slots, only
 //                   the op-stream suffix from the first op touching an
@@ -24,15 +34,6 @@
 //                   whose endpoints kept their processors, so its state is
 //                   identical under both mappings and the suffix replay
 //                   performs the same float ops a full evaluation would.
-//   BatchEvaluator — structure-of-arrays pricing of a whole candidate set in
-//                   one pass: the op list is walked once, each op's inner
-//                   loop runs contiguously over all candidates (slot-major
-//                   speed/time/busy arrays, no per-candidate allocation).
-//                   Busy state is kept per *abstract* transfer pair — O(Q)
-//                   slots instead of the P x P table Plan::evaluate zeroes —
-//                   with per-candidate aliasing of pairs that land on the
-//                   same physical link, so P=1000 costs the same per
-//                   candidate as P=9. Bit-identical to Plan::evaluate.
 //   PlanCache     — compile-once memo keyed like EstimateCache (instance
 //                   fingerprint); plans are mapping- and network-independent,
 //                   so recon never invalidates them.
@@ -110,15 +111,18 @@ class Plan {
   static constexpr std::size_t kNeverTouched = static_cast<std::size_t>(-1);
 
   /// Predicted execution time of the plan under `mapping` — bit-identical to
-  /// est::estimate_time on the instance this plan was compiled from.
+  /// est::estimate_time on the instance this plan was compiled from. Prices
+  /// through a thread-local BatchEvaluator at count=1, so concurrent calls on
+  /// one shared plan are safe. Throws InvalidArgument on a mapping of the
+  /// wrong size or one naming a processor outside `network`.
   double evaluate(std::span<const int> mapping,
                   const hnoc::NetworkModel& network,
                   EstimateOptions options = EstimateOptions()) const;
 
   /// Prices `count` candidate mappings in one structure-of-arrays pass.
   /// `procs_soa` is slot-major: procs_soa[a * count + i] is the physical
-  /// processor of abstract slot `a` in candidate `i`. out[i] is
-  /// bit-identical to evaluate() on candidate i (see BatchEvaluator).
+  /// processor of abstract slot `a` in candidate `i`. out[i] equals
+  /// evaluate() on candidate i (see BatchEvaluator).
   /// Reuses a thread-local BatchEvaluator; callers in a hot loop should own
   /// one directly.
   void evaluate_batch(std::span<const int> procs_soa, std::size_t count,
@@ -298,13 +302,13 @@ class DeltaEvaluator {
 /// thread owns its own evaluator (like DeltaEvaluator).
 ///
 /// Exactness: per candidate, the op walk performs the identical sequence of
-/// float operations as Plan::evaluate — compute divides by the same speed,
+/// float operations as TimelineMachine — compute divides by the same speed,
 /// a transfer's busy slot is shared between two ops iff they land on the
 /// same physical (src, dst) pair (the per-candidate canonical-pair aliasing
-/// reproduces the dense table's physical keying), and the par-block merges
-/// over the compact slots agree with the dense merge because every slot the
-/// batch never touches stays 0.0 on both sides (max(0, 0) == 0) and the
-/// makespan reads only the time vector. Pinned by
+/// reproduces the interpreter's physical keying), and the par-block merges
+/// over the compact slots agree with the interpreter's map merge because a
+/// pair absent on one side contributes 0.0 (max(x, 0) == x for timeline
+/// values) and the makespan reads only the time vector. Pinned by
 /// tests/estimator/batch_test.cpp.
 class BatchEvaluator {
  public:

@@ -559,16 +559,17 @@ map::SearchContext Runtime::search_context() const {
   return context;
 }
 
-void Runtime::prefetch_plan(const pmdl::ModelInstance& instance) const {
-  if (config_.estimator == EstimatorMode::kInterpret) return;
+std::shared_ptr<const est::Plan> Runtime::prefetch_plan(
+    const pmdl::ModelInstance& instance) const {
+  if (config_.estimator == EstimatorMode::kInterpret) return nullptr;
   bool compiled = false;
   double seconds = 0.0;
-  const std::shared_ptr<const est::Plan> plan =
+  std::shared_ptr<const est::Plan> plan =
       shared_->plan_cache.get(instance, &compiled, &seconds);
   telemetry::MetricsRegistry& reg = telemetry::metrics();
   if (!compiled) {
     reg.counter("est.compile.hits").add();
-    return;
+    return plan;
   }
   reg.counter("est.compile.count").add();
   reg.counter("est.compile.misses").add();
@@ -584,6 +585,16 @@ void Runtime::prefetch_plan(const pmdl::ModelInstance& instance) const {
     event.end_time = proc_->clock();
     tracer->record(event);
   }
+  return plan;
+}
+
+double Runtime::estimate_mapping(const est::Plan* plan,
+                                 const pmdl::ModelInstance& instance,
+                                 std::span<const int> mapping,
+                                 const hnoc::NetworkModel& network) const {
+  return plan != nullptr
+             ? plan->evaluate(mapping, network, config_.estimate)
+             : est::estimate_time(instance, mapping, network, config_.estimate);
 }
 
 void Runtime::note_search(const map::SearchStats& stats) const {
@@ -892,7 +903,7 @@ std::optional<Group> Runtime::group_create_impl(
   if (me == parent_world) {
     const pmdl::ModelInstance instance = model.instantiate(params);
     shape = instance.shape();
-    prefetch_plan(instance);
+    const std::shared_ptr<const est::Plan> plan = prefetch_plan(instance);
     hnoc::NetworkModel snapshot = [&] {
       std::lock_guard<std::mutex> lock(shared_->mutex);
       return *shared_->network;
@@ -938,8 +949,7 @@ std::optional<Group> Runtime::group_create_impl(
           members[static_cast<std::size_t>(instance.parent_index())] ==
               parent_world,
           "forced roster must keep the parent on the model's parent slot");
-      estimated = est::estimate_time(instance, mapping, snapshot,
-                                     config_.estimate);
+      estimated = estimate_mapping(plan.get(), instance, mapping, snapshot);
       ideal = estimated;
     } else {
     // Suspect processors stay in the rendezvous (they are alive and must
@@ -1498,7 +1508,7 @@ Runtime::AdaptOutcome Runtime::adapt_migrate(
   std::vector<int> proposed;  // world rank per abstract processor (parent)
   if (is_parent) {
     const pmdl::ModelInstance instance = model.instantiate(params);
-    prefetch_plan(instance);
+    const std::shared_ptr<const est::Plan> plan = prefetch_plan(instance);
     hnoc::NetworkModel snapshot = [&] {
       std::lock_guard<std::mutex> lock(shared_->mutex);
       return *shared_->network;
@@ -1510,8 +1520,8 @@ Runtime::AdaptOutcome Runtime::adapt_migrate(
     for (std::size_t a = 0; a < old_members.size(); ++a) {
       old_mapping[a] = world.processor_of(old_members[a]);
     }
-    verdict.old_pred = est::estimate_time(instance, old_mapping, snapshot,
-                                          config_.estimate);
+    verdict.old_pred =
+        estimate_mapping(plan.get(), instance, old_mapping, snapshot);
     if (options.force_roster != nullptr) {
       // Test hook: pin the target and skip the gate — the rollback guard
       // downstream still judges the result.
@@ -1522,8 +1532,8 @@ Runtime::AdaptOutcome Runtime::adapt_migrate(
       for (std::size_t a = 0; a < proposed.size(); ++a) {
         mapping[a] = world.processor_of(proposed[a]);
       }
-      verdict.new_pred = est::estimate_time(instance, mapping, snapshot,
-                                            config_.estimate);
+      verdict.new_pred =
+          estimate_mapping(plan.get(), instance, mapping, snapshot);
       verdict.migrate = 1;
     } else {
       // Candidates: the current members plus every live, unsuspected,

@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "estimator/estimator.hpp"
+#include "estimator/plan.hpp"
 #include "hmpi/adapt.hpp"
 #include "hnoc/network_model.hpp"
 #include "mapper/mapper.hpp"
@@ -652,8 +653,18 @@ class Runtime {
   /// Compiles (or fetches) the plan for `instance` from the world-shared
   /// plan cache ahead of a search, so the compile is attributed here — with
   /// est.compile.* metrics and a kEstCompile trace instant — rather than
-  /// inside the first scorer that needs it. No-op under kInterpret.
-  void prefetch_plan(const pmdl::ModelInstance& instance) const;
+  /// inside the first scorer that needs it. Returns the plan; null (and no
+  /// lookup) under kInterpret.
+  std::shared_ptr<const est::Plan> prefetch_plan(
+      const pmdl::ModelInstance& instance) const;
+
+  /// The runtime's own single-mapping estimates (forced rosters, adaptation
+  /// verdicts): priced by `plan` when there is one, by the interpreter under
+  /// kInterpret (`plan` null). Bit-identical either way.
+  double estimate_mapping(const est::Plan* plan,
+                          const pmdl::ModelInstance& instance,
+                          std::span<const int> mapping,
+                          const hnoc::NetworkModel& network) const;
 
   mp::Proc* proc_;
   RuntimeConfig config_;

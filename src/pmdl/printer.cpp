@@ -114,15 +114,24 @@ class Printer {
   }
 
   /// Fully parenthesised expression rendering (round-trip safe without
-  /// tracking precedence).
+  /// tracking precedence). Prefixes are built by appending, never as
+  /// `"literal" + expr(...)`: that form inlines a string insert on which
+  /// gcc 12 raises a -Wrestrict false positive.
   std::string expr(const Expr& e) {
     switch (e.kind) {
       case ExprKind::kIntLit:
         return std::to_string(e.int_value);
       case ExprKind::kIdent:
         return e.name;
-      case ExprKind::kBinary:
-        return "(" + expr(*e.lhs) + " " + op_text(e.op) + " " + expr(*e.rhs) + ")";
+      case ExprKind::kBinary: {
+        std::string s = "(";
+        s += expr(*e.lhs);
+        s += " ";
+        s += op_text(e.op);
+        s += " ";
+        s += expr(*e.rhs);
+        return s + ")";
+      }
       case ExprKind::kUnary:
         return std::string("(") + op_text(e.op) + expr(*e.lhs) + ")";
       case ExprKind::kPostfix:
@@ -144,7 +153,7 @@ class Printer {
       case ExprKind::kSizeof:
         return "sizeof(" + e.name + ")";
       case ExprKind::kAddressOf:
-        return "&" + expr(*e.lhs);
+        return std::string("&").append(expr(*e.lhs));
     }
     throw PmdlError("printer: unhandled expression kind");
   }

@@ -1,17 +1,24 @@
 // The SoA batch evaluator (estimator/plan.hpp) and the estimate cache's bulk
 // probes (estimator/estimate_cache.hpp): evaluate_batch must equal N
-// one-at-a-time Plan::evaluate calls bit for bit on arbitrary models and
-// clusters, and lookup_batch/insert_batch must be interchangeable with the
-// single-key calls, at any shard count.
+// one-at-a-time Plan::evaluate calls (the same kernel at count=1) and the
+// interpreter bit for bit on arbitrary models and clusters, including the
+// paper's instances at P=1000 and concurrent callers of one shared plan;
+// lookup_batch/insert_batch must be interchangeable with the single-key
+// calls, at any shard count.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "apps/em3d/app.hpp"
+#include "apps/matmul/app.hpp"
 #include "estimator/estimate_cache.hpp"
 #include "estimator/estimator.hpp"
 #include "estimator/fingerprint.hpp"
 #include "estimator/plan.hpp"
 #include "hnoc/cluster.hpp"
+#include "support/error.hpp"
 #include "support/rng.hpp"
 
 namespace hmpi::est {
@@ -72,7 +79,7 @@ ModelInstance fallback_model(support::Rng& rng, int p) {
 hnoc::Cluster random_cluster(support::Rng& rng, int machines) {
   hnoc::ClusterBuilder b;
   for (int i = 0; i < machines; ++i) {
-    b.add("m" + std::to_string(i), 10.0 + rng.next_double() * 150.0);
+    b.add(std::string("m").append(std::to_string(i)), 10.0 + rng.next_double() * 150.0);
   }
   b.network(1e-4 + rng.next_double() * 1e-3, 1e6 + rng.next_double() * 1e8);
   b.shared_memory(5e-6, 1e9);
@@ -165,6 +172,156 @@ TEST(BatchEvaluator, RepeatedCallsReuseScratchDeterministically) {
   plan.evaluate_batch(soa, 8, net, EstimateOptions{}, first);
   plan.evaluate_batch(soa, 8, net, EstimateOptions{}, second);
   EXPECT_EQ(first, second);
+}
+
+/// The paper's EM3D model (Figure 4: nested par blocks) on a seeded
+/// 9-subbody system.
+ModelInstance em3d_instance() {
+  apps::em3d::GeneratorConfig config;
+  config.nodes_per_subbody = {40, 80, 120, 60, 200, 30, 90, 150, 70};
+  config.remote_fraction = 0.2;
+  config.seed = 7;
+  const apps::em3d::System system = apps::em3d::generate(config);
+  return apps::em3d::performance_model().instantiate(
+      apps::em3d::model_parameters(system, 100));
+}
+
+/// The paper's matrix-multiplication model (Figure 7) on a 3x3 grid whose
+/// speeds are the first nine machines of `net`.
+ModelInstance mm_instance(const hnoc::NetworkModel& net) {
+  std::vector<double> grid_speeds;
+  for (int i = 0; i < 9; ++i) grid_speeds.push_back(net.speed(i));
+  return apps::matmul::performance_model().instantiate(
+      apps::matmul::model_parameters(
+          3, 8, 18, apps::matmul::Partition(3, 6, grid_speeds)));
+}
+
+/// Seven random mappings over `net` plus one that folds every slot onto two
+/// machines, so transfers share physical links.
+std::vector<std::vector<int>> paper_mappings(const ModelInstance& instance,
+                                             const hnoc::NetworkModel& net,
+                                             support::Rng& rng) {
+  const auto p = static_cast<std::size_t>(instance.size());
+  std::vector<std::vector<int>> rows(8, std::vector<int>(p, 0));
+  for (std::size_t i = 0; i + 1 < rows.size(); ++i) {
+    for (int& proc : rows[i]) {
+      proc = static_cast<int>(
+          rng.next_below(static_cast<std::uint64_t>(net.size())));
+    }
+  }
+  for (std::size_t a = 0; a < p; ++a) rows.back()[a] = a % 2 == 0 ? 7 : 11;
+  return rows;
+}
+
+void expect_single_matches_interpreter_and_batch(
+    const ModelInstance& instance, const hnoc::NetworkModel& net,
+    support::Rng& rng) {
+  const Plan plan(instance);
+  const EstimateOptions options{};
+  const std::vector<std::vector<int>> rows =
+      paper_mappings(instance, net, rng);
+  const auto p = static_cast<std::size_t>(instance.size());
+  const std::size_t count = rows.size();
+  std::vector<int> soa(p * count);
+  for (std::size_t i = 0; i < count; ++i) {
+    for (std::size_t a = 0; a < p; ++a) soa[a * count + i] = rows[i][a];
+  }
+  std::vector<double> batched(count);
+  plan.evaluate_batch(soa, count, net, options, batched);
+  for (std::size_t i = 0; i < count; ++i) {
+    const double single = plan.evaluate(rows[i], net, options);
+    EXPECT_EQ(single, estimate_time(instance, rows[i], net, options))
+        << "mapping " << i;  // exact bits
+    EXPECT_EQ(single, batched[i]) << "mapping " << i;
+  }
+}
+
+TEST(PlanEvaluate, PaperInstancesMatchInterpreterAtLargeClusterScale) {
+  support::Rng rng(0xe3d1000);
+  const hnoc::Cluster cluster = hnoc::testbeds::large_cluster(1000);
+  const hnoc::NetworkModel net(cluster);
+  const ModelInstance em3d = em3d_instance();
+  ASSERT_TRUE(em3d.has_scheme());
+  expect_single_matches_interpreter_and_batch(em3d, net, rng);
+  const ModelInstance mm = mm_instance(net);
+  ASSERT_TRUE(mm.has_scheme());
+  expect_single_matches_interpreter_and_batch(mm, net, rng);
+  const ModelInstance fallback = fallback_model(rng, 9);
+  ASSERT_FALSE(fallback.has_scheme());
+  expect_single_matches_interpreter_and_batch(fallback, net, rng);
+}
+
+/// The InvalidArgument message `fn` throws ("" when it does not throw).
+template <typename Fn>
+std::string invalid_argument_of(Fn fn) {
+  try {
+    fn();
+  } catch (const hmpi::InvalidArgument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(PlanEvaluate, RejectsBadMappingsLikeTheInterpreter) {
+  const hnoc::Cluster cluster = hnoc::testbeds::large_cluster(1000);
+  const hnoc::NetworkModel net(cluster);
+  const ModelInstance instance = em3d_instance();
+  const Plan plan(instance);
+  const std::vector<int> too_short(8, 0);
+  const std::string short_error =
+      invalid_argument_of([&] { (void)plan.evaluate(too_short, net); });
+  EXPECT_NE(short_error, "");
+  EXPECT_EQ(short_error, invalid_argument_of([&] {
+              (void)estimate_time(instance, too_short, net);
+            }));
+  std::vector<int> out_of_range(9, 0);
+  out_of_range[4] = 1000;
+  const std::string range_error =
+      invalid_argument_of([&] { (void)plan.evaluate(out_of_range, net); });
+  EXPECT_NE(range_error, "");
+  EXPECT_EQ(range_error, invalid_argument_of([&] {
+              (void)estimate_time(instance, out_of_range, net);
+            }));
+  out_of_range[4] = -1;
+  EXPECT_THROW((void)plan.evaluate(out_of_range, net), hmpi::InvalidArgument);
+}
+
+TEST(PlanEvaluate, ConcurrentCallersOnOneSharedPlanAgree) {
+  support::Rng rng(0xc0c0);
+  const hnoc::Cluster cluster = hnoc::testbeds::large_cluster(1000);
+  const hnoc::NetworkModel net(cluster);
+  const ModelInstance instance = em3d_instance();
+  const Plan plan(instance);
+  std::vector<std::vector<int>> rows;
+  for (int round = 0; round < 4; ++round) {
+    for (auto& row : paper_mappings(instance, net, rng)) {
+      rows.push_back(std::move(row));
+    }
+  }
+  std::vector<double> expected;
+  for (const auto& row : rows) {
+    expected.push_back(estimate_time(instance, row, net));
+  }
+
+  // Each thread walks every mapping from its own offset, so calls on the
+  // shared plan interleave and every thread-local scratch is reused.
+  constexpr int kThreads = 4;
+  std::vector<std::vector<double>> got(kThreads,
+                                       std::vector<double>(rows.size()));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t k = 0; k < rows.size(); ++k) {
+        const std::size_t i = (k + static_cast<std::size_t>(t) * 5) %
+                              rows.size();
+        got[static_cast<std::size_t>(t)][i] = plan.evaluate(rows[i], net);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(got[static_cast<std::size_t>(t)], expected) << "thread " << t;
+  }
 }
 
 TEST(EstimateCacheShards, AnyShardCountReturnsIdenticalValues) {

@@ -169,7 +169,9 @@ TEST(EstimateCache, NeverStaleAcrossSchedulerLeaseReleaseCycles) {
   // let the cache quote contended prices for an idle machine (or vice
   // versa).
   hnoc::Cluster cluster = hnoc::testbeds::homogeneous(4, 100.0);
-  sched::CapacityLedger ledger(cluster, sched::Partition{.slots_per_machine = 2});
+  sched::CapacityLedger ledger(
+      cluster,
+      sched::Partition{.name = "all", .machines = {}, .slots_per_machine = 2});
   ModelInstance inst = ring_model(4);
   EstimateCache cache;
   const std::vector<int> mapping{0, 1, 2, 3};

@@ -49,7 +49,7 @@ struct Scenario {
     const int machines = static_cast<int>(rng.next_in(6, 8));
     hnoc::ClusterBuilder b;
     for (int i = 0; i < machines; ++i) {
-      b.add("m" + std::to_string(i), rng.next_double_in(1.0, 200.0));
+      b.add(std::string("m").append(std::to_string(i)), rng.next_double_in(1.0, 200.0));
     }
     b.network(rng.next_double_in(1e-5, 1e-3), rng.next_double_in(1e6, 1e8));
     // A couple of degraded links so communication shapes the landscape.
@@ -318,7 +318,9 @@ TEST(CompiledScoring, SelectionsBitIdenticalAcrossEstimatorModes) {
           expect_bit_identical(interpreted, compiled,
                                delta ? "compiled+delta" : "compiled");
           EXPECT_GT(compiled.stats.compiled_evaluations, 0);
-          if (delta) EXPECT_GT(compiled.stats.delta_evaluations, 0);
+          if (delta) {
+            EXPECT_GT(compiled.stats.delta_evaluations, 0);
+          }
           if (cached) {
             // Every evaluation does exactly one cache lookup on every route.
             EXPECT_EQ(compiled.stats.cache_hits + compiled.stats.cache_misses,
