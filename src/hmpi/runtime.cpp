@@ -111,8 +111,7 @@ struct Runtime::Shared {
   explicit Shared(std::size_t est_shards) : estimate_cache(est_shards) {}
 
   std::mutex mutex;
-  /// Rendezvous wakeups; engine-agnostic (condition variable under the
-  /// thread engine, fiber parking under the event engine).
+  /// Rendezvous wakeups (free processes park here for an announcement).
   mp::sim::WaitChannel cv;
 
   std::unique_ptr<hnoc::NetworkModel> network;
@@ -261,8 +260,8 @@ Runtime::Runtime(mp::Proc& proc, RuntimeConfig config)
     });
     proc.world().set_coll_selector(s->coll_tuner);
     // Wake rendezvous waiters on any death so they can fail fast instead of
-    // sitting out the deadlock timeout. (The Shared outlives every process
-    // thread: the World holds it until the run ends.)
+    // staying parked until the engine diagnoses a stall. (The Shared outlives
+    // every simulated process: the World holds it until the run ends.)
     proc.world().on_death([raw = s.get()](int, double) {
       { std::lock_guard<std::mutex> lock(raw->mutex); }
       raw->cv.notify_all();
@@ -783,10 +782,6 @@ std::optional<Group> Runtime::group_create_impl(
   std::vector<int> guard_restore;
   {
     std::unique_lock<std::mutex> lock(shared_->mutex);
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(world.options().deadlock_timeout_s));
     for (;;) {
       const long long id = shared_->next_creation[static_cast<std::size_t>(me)];
       auto it = shared_->creations.find(id);
@@ -875,14 +870,12 @@ std::optional<Group> Runtime::group_create_impl(
               mp::kAnySource, std::numeric_limits<double>::infinity());
         }
       }
-      const double remaining =
-          std::chrono::duration<double>(deadline - std::chrono::steady_clock::now())
-              .count();
-      if (!shared_->cv.wait(lock, std::max(remaining, 0.0)) &&
+      if (!shared_->cv.wait(lock) &&
           shared_->creations.find(id) == shared_->creations.end()) {
         throw DeadlockError(
-            "free process waited for a group creation that was never "
-            "announced (did the parent call HMPI_Group_create?)");
+            "deadlock: free process " + std::to_string(me) +
+            " waited for a group creation that was never announced (did the "
+            "parent call HMPI_Group_create?)");
       }
     }
   }
@@ -1245,7 +1238,7 @@ void Runtime::group_fail(Group& group) {
                    "group_fail by a process with no group membership");
   mp::World& world = proc_->world();
   // Propagate: members of this group still blocked on alive peers unwind
-  // with RevokedError instead of waiting out the deadlock timeout.
+  // with RevokedError instead of staying blocked until a stall diagnosis.
   world.revoke_context(group.comm().context());
   live_groups_ -= 1;
   {

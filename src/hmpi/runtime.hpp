@@ -164,11 +164,12 @@ struct RuntimeConfig {
   adapt::AdaptConfig adapt;
   /// The hmpictld scheduler service (docs/scheduler.md), world-shared and
   /// lazily created by Runtime::scheduler() on first use. `execute` is
-  /// forced off inside the runtime (a nested World::run cannot start from a
-  /// simulated process), so jobs are serviced for the estimator's predicted
-  /// makespan. Env overrides: HMPI_SCHED_POLICY, HMPI_SCHED_SLOTS,
-  /// HMPI_SCHED_BACKFILL, HMPI_SCHED_BACKFILL_DEPTH, HMPI_SCHED_PREEMPT,
-  /// HMPI_SCHED_PREEMPT_GAP, HMPI_SCHED_AGING.
+  /// forced off inside the runtime because World::run rejects a call from a
+  /// simulated process with MpError (nested simulations are not supported),
+  /// so jobs are serviced for the estimator's predicted makespan. Env
+  /// overrides: HMPI_SCHED_POLICY, HMPI_SCHED_SLOTS, HMPI_SCHED_BACKFILL,
+  /// HMPI_SCHED_BACKFILL_DEPTH, HMPI_SCHED_PREEMPT, HMPI_SCHED_PREEMPT_GAP,
+  /// HMPI_SCHED_AGING.
   sched::SchedConfig sched;
 };
 

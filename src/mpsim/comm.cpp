@@ -152,27 +152,21 @@ void Comm::send_impl(std::span<const std::byte> data, std::size_t logical_bytes,
   if (!dropped) world.mailbox(dst_world).deliver(std::move(e));
 }
 
-Status Comm::recv_bytes(std::span<std::byte> buffer, int src, int tag,
-                        double timeout_s) const {
-  return recv_impl(&buffer, src, tag, timeout_s);
+Status Comm::recv_bytes(std::span<std::byte> buffer, int src, int tag) const {
+  return recv_impl(&buffer, src, tag);
 }
 
-Status Comm::recv_placeholder(int src, int tag, double timeout_s) const {
-  return recv_impl(nullptr, src, tag, timeout_s);
+Status Comm::recv_placeholder(int src, int tag) const {
+  return recv_impl(nullptr, src, tag);
 }
 
-Status Comm::recv_impl(std::span<std::byte>* buffer, int src, int tag,
-                       double timeout_s) const {
+Status Comm::recv_impl(std::span<std::byte>* buffer, int src, int tag) const {
   support::require(valid(), "receive on an invalid communicator");
   support::require(src == kAnySource || (src >= 0 && src < size()),
                    "receive source rank out of range");
   support::require(tag == kAnyTag || tag >= 0, "receive tag must be >= 0 or kAnyTag");
   World& world = proc_->world();
   const int src_world = src == kAnySource ? kAnySource : world_rank_of(src);
-  if (timeout_s == kUseWorldTimeout) {
-    timeout_s = world.options().deadlock_timeout_s;
-  }
-  support::require(timeout_s > 0.0, "receive timeout must be positive");
 
   proc_->check_crash();  // a process whose crash time has passed cannot receive
 
@@ -190,8 +184,7 @@ Status Comm::recv_impl(std::span<std::byte>* buffer, int src, int tag,
 
   world.note_recv_begin(proc_->rank(), src_world, tag, context_, proc_->clock());
   auto envelope = world.mailbox(proc_->rank())
-                      .take_matching(src_world, tag, context_, timeout_s,
-                                     hopeless);
+                      .take_matching(src_world, tag, context_, hopeless);
   if (!envelope) {
     if (world.aborted()) {
       world.note_recv_end(proc_->rank());
@@ -222,10 +215,10 @@ Status Comm::recv_impl(std::span<std::byte>* buffer, int src, int tag,
                          describe_recv(*proc_, src, tag, context_));
     }
     // Capture the state dump before clearing this rank's own pending entry
-    // so the diagnosis includes the receive that timed out.
+    // so the diagnosis includes the stalled receive.
     const std::string stuck = world.describe_stuck_state();
     world.note_recv_end(proc_->rank());
-    throw DeadlockError("no matching message within the deadlock timeout; " +
+    throw DeadlockError("deadlock: every process is blocked; " +
                         describe_recv(*proc_, src, tag, context_) + "\n" +
                         stuck);
   }

@@ -35,10 +35,6 @@ namespace hmpi::mp {
 /// Color value excluding a process from the communicator made by split().
 inline constexpr int kUndefinedColor = -1;
 
-/// Sentinel for per-receive timeout parameters: use the world-wide
-/// WorldOptions::deadlock_timeout_s.
-inline constexpr double kUseWorldTimeout = -1.0;
-
 namespace internal_tag {
 // Reserved tag space for library-internal traffic (all above kMaxUserTag).
 inline constexpr int kBarrierBase = kMaxUserTag + 0x0100;  // + round
@@ -90,12 +86,10 @@ class Comm {
 
   /// Blocking receive into `buffer` (must be at least the message size) from
   /// communicator rank `src` (or kAnySource), tag `tag` (or kAnyTag).
-  /// `timeout_s` overrides the world-wide deadlock timeout for this receive
-  /// only (kUseWorldTimeout selects the world default). Raises
-  /// PeerFailedError fast when `src` has crashed, RevokedError when the
-  /// communicator's context was revoked, DeadlockError on timeout.
-  Status recv_bytes(std::span<std::byte> buffer, int src, int tag,
-                    double timeout_s = kUseWorldTimeout) const;
+  /// Raises PeerFailedError fast when `src` has crashed, RevokedError when
+  /// the communicator's context was revoked, DeadlockError when the engine
+  /// finds every process blocked and picks this receive as the stall victim.
+  Status recv_bytes(std::span<std::byte> buffer, int src, int tag) const;
 
   /// Sends a zero-payload message costed as `bytes` on the wire. Used by
   /// workload drivers in virtual-only mode: the timing (and the receiver's
@@ -107,8 +101,7 @@ class Comm {
   /// Receives a message without reading its payload (the Status reports the
   /// logical size). Pairs with send_placeholder; also accepts ordinary
   /// messages (their payload is discarded).
-  Status recv_placeholder(int src, int tag,
-                          double timeout_s = kUseWorldTimeout) const;
+  Status recv_placeholder(int src, int tag) const;
 
   /// Non-destructive test for an available matching message.
   bool iprobe(int src, int tag) const;
@@ -129,10 +122,9 @@ class Comm {
   }
 
   template <typename T>
-  Status recv(std::span<T> buffer, int src, int tag,
-              double timeout_s = kUseWorldTimeout) const {
+  Status recv(std::span<T> buffer, int src, int tag) const {
     static_assert(std::is_trivially_copyable_v<T>);
-    return recv_bytes(std::as_writable_bytes(buffer), src, tag, timeout_s);
+    return recv_bytes(std::as_writable_bytes(buffer), src, tag);
   }
 
   template <typename T>
@@ -141,10 +133,9 @@ class Comm {
   }
 
   template <typename T>
-  T recv_value(int src, int tag, Status* status = nullptr,
-               double timeout_s = kUseWorldTimeout) const {
+  T recv_value(int src, int tag, Status* status = nullptr) const {
     T value{};
-    Status s = recv(std::span<T>(&value, 1), src, tag, timeout_s);
+    Status s = recv(std::span<T>(&value, 1), src, tag);
     if (status != nullptr) *status = s;
     return value;
   }
@@ -295,8 +286,7 @@ class Comm {
   void check_member_rank(int r, const char* what) const;
   void send_impl(std::span<const std::byte> data, std::size_t logical_bytes,
                  int dst, int tag) const;
-  Status recv_impl(std::span<std::byte>* buffer, int src, int tag,
-                   double timeout_s) const;
+  Status recv_impl(std::span<std::byte>* buffer, int src, int tag) const;
 
   // --- collective dispatch (shared by the templates and comm.cpp) ----------
 

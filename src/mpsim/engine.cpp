@@ -1,11 +1,8 @@
 #include "mpsim/engine.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
-#include <string>
 
 #include "mpsim/fiber.hpp"
 #include "support/error.hpp"
@@ -17,21 +14,11 @@ namespace {
 
 // Which engine/fiber the calling thread is currently executing. Set by the
 // scheduler and worker threads around fiber resumes; threads the simulation
-// spawns for real host work (e.g. the mapper's ThreadPool) never inherit it,
-// so their waits stay ordinary condition-variable waits.
+// spawns for real host work (e.g. the mapper's ThreadPool) never inherit it.
 thread_local EventEngine* tl_engine = nullptr;
 thread_local Fiber* tl_fiber = nullptr;
 
 }  // namespace
-
-SimEngine resolve_engine(SimEngine configured) {
-  if (configured != SimEngine::kAuto) return configured;
-  if (const char* value = std::getenv("HMPI_SIM_ENGINE")) {
-    const std::string v(value);
-    if (v == "event" || v == "fiber") return SimEngine::kEvent;
-  }
-  return SimEngine::kThread;
-}
 
 int resolve_workers(int configured) {
   if (configured > 0) return configured;
@@ -53,12 +40,11 @@ std::size_t resolve_stack_bytes(std::size_t configured) {
 
 bool on_fiber() noexcept { return tl_fiber != nullptr; }
 
-bool WaitChannel::wait(std::unique_lock<std::mutex>& lock, double timeout_s) {
-  if (tl_fiber != nullptr && tl_engine != nullptr) {
-    return tl_engine->park(*this, lock, timeout_s);
+bool WaitChannel::wait(std::unique_lock<std::mutex>& lock) {
+  if (tl_fiber == nullptr || tl_engine == nullptr) {
+    throw MpError("WaitChannel::wait outside a simulation fiber");
   }
-  return cv_.wait_for(lock, std::chrono::duration<double>(timeout_s)) ==
-         std::cv_status::no_timeout;
+  return tl_engine->park(*this, lock);
 }
 
 void WaitChannel::notify_all() {
@@ -68,7 +54,6 @@ void WaitChannel::notify_all() {
     woken.swap(fibers_);
   }
   for (Fiber* f : woken) f->engine()->make_ready(f);
-  cv_.notify_all();
 }
 
 EventEngine::EventEngine(Config config) : config_(std::move(config)) {
@@ -79,13 +64,12 @@ EventEngine::EventEngine(Config config) : config_(std::move(config)) {
 
 EventEngine::~EventEngine() { stop_workers(); }
 
-bool EventEngine::park(WaitChannel& channel, std::unique_lock<std::mutex>& lock,
-                       double timeout_s) {
+bool EventEngine::park(WaitChannel& channel,
+                       std::unique_lock<std::mutex>& lock) {
   Fiber* f = tl_fiber;
   {
     std::lock_guard<std::mutex> guard(channel.fiber_mutex_);
     f->timed_out = false;
-    f->park_timeout_s = timeout_s;
     f->parked_on = &channel;
     channel.fibers_.push_back(f);
   }
@@ -114,26 +98,25 @@ Fiber* EventEngine::pop_ready() {
 
 void EventEngine::wake_stall_victim() {
   // No fiber is runnable and none is running: every live fiber is parked.
-  // Wake the one the thread engine would have timed out first — smallest
-  // wait timeout, ties broken by ascending world rank — flagged timed_out so
+  // Wake the parked fiber with the lowest world rank, flagged timed_out so
   // its wait returns false and the caller raises its deadlock diagnosis.
+  // The choice depends on nothing but the simulation state.
   Fiber* victim = nullptr;
   for (const auto& f : fibers_) {
-    if (f->state != Fiber::State::kParked) continue;
-    if (victim == nullptr || f->park_timeout_s < victim->park_timeout_s) {
+    if (f->state == Fiber::State::kParked) {
       victim = f.get();
+      break;
     }
   }
   support::require(victim != nullptr,
                    "event engine stalled with no parked fiber (internal error)");
   static const bool debug = std::getenv("HMPI_SIM_DEBUG") != nullptr;
   if (debug) {
-    std::fprintf(stderr, "[sim] stall: victim rank=%d timeout=%.9f; parked:",
-                 victim->rank(), victim->park_timeout_s);
+    std::fprintf(stderr, "[sim] stall: victim rank=%d; parked:",
+                 victim->rank());
     for (const auto& f : fibers_) {
       if (f->state == Fiber::State::kParked) {
-        std::fprintf(stderr, " %d(%s,t=%.9f)", f->rank(),
-                     f->parked_on->debug_name, f->park_timeout_s);
+        std::fprintf(stderr, " %d(%s)", f->rank(), f->parked_on->debug_name);
       } else if (f->state != Fiber::State::kFinished) {
         std::fprintf(stderr, " %d(state=%d)", f->rank(),
                      static_cast<int>(f->state));

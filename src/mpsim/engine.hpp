@@ -1,16 +1,15 @@
 // The event-driven virtual-time engine of mpsim (docs/simulator.md).
 //
-// The classic engine runs one OS thread per simulated process; this one runs
-// each process body as a stackful fiber and dispatches fibers one at a time
-// from a central ready queue ordered by (virtual clock, world rank). That
-// ordering is the engine's determinism contract: of all runnable processes
-// the one with the smallest virtual clock runs next, and simultaneous
-// events break the tie by ascending world rank. Blocking sites (the mailbox,
-// the runtime rendezvous) park the fiber on a WaitChannel instead of a
-// condition variable; when no fiber is runnable the engine declares a
-// structural stall and wakes the parked fiber with the smallest
-// (timeout, rank) as "timed out" — the virtual-time equivalent of the
-// thread engine's real-time deadlock timeout.
+// The engine runs each process body as a stackful fiber and dispatches
+// fibers one at a time from a central ready queue ordered by (virtual clock,
+// world rank). That ordering is the engine's determinism contract: of all
+// runnable processes the one with the smallest virtual clock runs next, and
+// simultaneous events break the tie by ascending world rank. Blocking sites
+// (the mailbox, the runtime rendezvous) park the fiber on a WaitChannel;
+// when no fiber is runnable the engine declares a structural stall and wakes
+// the parked fiber with the lowest world rank as "timed out", which its
+// blocking site turns into a DeadlockError. No real-time clock is involved,
+// so a run is a pure function of its inputs.
 //
 // Worker threads host the fiber stacks (fiber r is pinned to worker
 // r % workers); dispatch remains globally sequential, so results are
@@ -32,16 +31,12 @@ namespace hmpi::mp::sim {
 class EventEngine;
 class Fiber;
 
-/// Which execution engine World::run uses (WorldOptions::engine).
+/// The execution engine (WorldOptions::engine). The event engine is the
+/// only one; the single-valued enum remains because the benchmark harness
+/// still names it, and goes when that harness is next revised.
 enum class SimEngine {
-  kAuto,    ///< HMPI_SIM_ENGINE env var, defaulting to kThread.
-  kThread,  ///< One OS thread per simulated process (the classic engine).
-  kEvent,   ///< Fibers over a virtual-time event queue.
+  kEvent,  ///< Fibers over a virtual-time event queue.
 };
-
-/// Resolves kAuto against the HMPI_SIM_ENGINE env var ("thread" | "event");
-/// unknown values fall back to kThread.
-SimEngine resolve_engine(SimEngine configured);
 
 /// Resolves the event-engine worker count: a positive configured value wins,
 /// else HMPI_SIM_WORKERS, else 1.
@@ -54,25 +49,23 @@ std::size_t resolve_stack_bytes(std::size_t configured);
 /// True when the calling thread is currently executing a simulation fiber.
 bool on_fiber() noexcept;
 
-/// Engine-agnostic blocking primitive. Under the thread engine it is a plain
-/// condition variable; under the event engine wait() parks the calling fiber
+/// Blocking primitive of simulated processes: wait() parks the calling fiber
 /// and notify_all() moves every parked fiber back to the ready queue.
-/// Callers use it exactly like a condition variable with an external mutex.
+/// Callers use it like a condition variable with an external mutex.
 class WaitChannel {
  public:
-  /// Releases `lock`, blocks until notified (true) or timed out (false),
-  /// reacquires `lock` before returning. On a fiber, "timed out" means the
-  /// engine picked this fiber as a structural-stall victim.
-  bool wait(std::unique_lock<std::mutex>& lock, double timeout_s);
+  /// Releases `lock`, parks until notified (true) or picked as the
+  /// structural-stall victim (false), reacquires `lock` before returning.
+  /// Must be called from a simulation fiber.
+  bool wait(std::unique_lock<std::mutex>& lock);
 
-  /// Wakes every waiter (threads and fibers).
+  /// Wakes every parked fiber.
   void notify_all();
 
   const char* debug_name = "channel";  ///< HMPI_SIM_DEBUG stall dumps only.
 
  private:
   friend class EventEngine;
-  std::condition_variable cv_;
   std::mutex fiber_mutex_;
   std::vector<Fiber*> fibers_;
 };
@@ -108,9 +101,8 @@ class EventEngine {
  private:
   friend class WaitChannel;
 
-  /// Parks the current fiber on `channel` (WaitChannel::wait, fiber path).
-  bool park(WaitChannel& channel, std::unique_lock<std::mutex>& lock,
-            double timeout_s);
+  /// Parks the current fiber on `channel` (WaitChannel::wait).
+  bool park(WaitChannel& channel, std::unique_lock<std::mutex>& lock);
 
   /// Moves a parked fiber to the ready queue (notify or stall wakeup).
   void make_ready(Fiber* fiber);

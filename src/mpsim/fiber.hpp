@@ -47,8 +47,6 @@ class Fiber {
   /// Set when the engine wakes the fiber as a structural-stall victim rather
   /// than through a notify; WaitChannel::wait returns false in that case.
   bool timed_out = false;
-  /// Timeout of the wait the fiber is parked in (stall-victim priority).
-  double park_timeout_s = 0.0;
   /// Channel the fiber is parked on (so a stall can deregister it).
   WaitChannel* parked_on = nullptr;
   /// This simulated process's thread_local-replacement slots (the engine

@@ -30,7 +30,7 @@ std::optional<Envelope> Mailbox::extract_locked(int src_world, int tag,
 }
 
 std::optional<Envelope> Mailbox::take_matching(
-    int src_world, int tag, int context, double timeout_s,
+    int src_world, int tag, int context,
     const std::function<bool()>& hopeless) {
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
@@ -40,14 +40,9 @@ std::optional<Envelope> Mailbox::take_matching(
     // delivers before it can die, so a dead peer observed here really has
     // nothing more in flight for us.
     if (hopeless && hopeless()) return std::nullopt;
-    // Wait for new deliveries; restart the timeout whenever anything arrives
-    // (only total silence counts as a potential deadlock). Under the event
-    // engine the wait parks the fiber and a false return means the engine
-    // picked it as a structural-stall victim.
-    if (!channel_.wait(lock, timeout_s)) {
-      if (auto e = extract_locked(src_world, tag, context)) return e;
-      return std::nullopt;
-    }
+    // Park until the next delivery or poke; a false return means the
+    // engine picked this wait as the structural-stall victim.
+    if (!channel_.wait(lock)) return std::nullopt;
   }
 }
 

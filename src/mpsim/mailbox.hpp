@@ -1,7 +1,7 @@
 // Per-process message queue with MPI-style matching.
 //
 // Every simulated process owns one Mailbox. Senders deliver envelopes from
-// their own thread; the receiver blocks until an envelope matching
+// their own fiber; the receiver blocks until an envelope matching
 // (source, tag, context) is present. Matching scans the queue in delivery
 // order, which preserves MPI's non-overtaking guarantee for messages of one
 // sender on one communicator (a sender delivers in program order).
@@ -47,16 +47,16 @@ class Mailbox {
 
   /// Blocks until an envelope matching (src_world, tag, context) is present,
   /// removes and returns it. Wildcards: src_world == kAnySource,
-  /// tag == kAnyTag. Returns std::nullopt on timeout (`timeout_s` of real
-  /// time with no queue activity), which the caller turns into a deadlock
-  /// diagnosis.
+  /// tag == kAnyTag. Returns std::nullopt when the engine picks this wait
+  /// as the structural-stall victim (every process blocked), which the
+  /// caller turns into a deadlock diagnosis.
   ///
   /// `hopeless`, when provided, is evaluated under the mailbox lock after
   /// every failed match: returning true unblocks the wait immediately with
   /// std::nullopt (the caller re-derives *why* — dead peer, revoked context).
   /// Wake-ups for it are driven by poke().
   std::optional<Envelope> take_matching(
-      int src_world, int tag, int context, double timeout_s,
+      int src_world, int tag, int context,
       const std::function<bool()>& hopeless = nullptr);
 
   /// Non-blocking: removes and returns a matching envelope if present.
@@ -97,8 +97,7 @@ class Mailbox {
   std::optional<Envelope> extract_locked(int src_world, int tag, int context);
 
   mutable std::mutex mutex_;
-  /// Blocking receivers wait here; engine-agnostic (condition variable under
-  /// the thread engine, fiber parking under the event engine).
+  /// Blocking receivers park here.
   sim::WaitChannel channel_;
   std::deque<Envelope> queue_;
   std::atomic<bool> shutdown_{false};

@@ -103,7 +103,7 @@ class Proc {
 
   /// Next per-destination causal sequence number: stamped on every send (and
   /// its Envelope) so the causal log pairs sends with receives. Program
-  /// order per destination, hence identical under both engines.
+  /// order per destination, hence independent of the dispatch order.
   std::uint64_t next_causal_sequence(int dst_world) {
     return causal_seq_[dst_world]++;
   }
@@ -148,12 +148,9 @@ class Tracer;
 /// Tunables of a simulated run. (Namespace-scope so it can be used as a
 /// defaulted argument of World's member functions.)
 struct WorldOptions {
-  /// Execution engine (docs/simulator.md): kThread runs one OS thread per
-  /// simulated process, kEvent multiplexes fibers over a virtual-time event
-  /// queue. kAuto resolves the HMPI_SIM_ENGINE env var (default: thread).
-  /// Both engines produce bit-identical virtual timestamps, results, and
-  /// trace streams for deterministic programs.
-  sim::SimEngine engine = sim::SimEngine::kAuto;
+  /// Execution engine (docs/simulator.md). kEvent, which multiplexes fibers
+  /// over a virtual-time event queue, is the only value.
+  sim::SimEngine engine = sim::SimEngine::kEvent;
   /// Event-engine worker threads hosting the fiber stacks (dispatch stays
   /// sequential, so every worker count gives identical results). 0 resolves
   /// HMPI_SIM_WORKERS, default 1 (fibers run on the calling thread).
@@ -161,11 +158,6 @@ struct WorldOptions {
   /// Event-engine stack size per fiber. 0 resolves HMPI_SIM_STACK_KB,
   /// default 512 KiB (virtual; guard-paged, so RSS only covers touched pages).
   std::size_t fiber_stack_bytes = 0;
-  /// Real-time silence after which a blocked receive is declared deadlocked.
-  /// (The event engine has no real-time waits; it raises the same deadlock
-  /// diagnosis when no fiber is runnable, using this value only to order
-  /// simultaneous stall victims.)
-  double deadlock_timeout_s = 30.0;
   /// Virtual per-message sender-side overhead (LogP's "o").
   double send_overhead_s = 5e-6;
   /// Virtual per-message receiver-side overhead.
@@ -208,7 +200,8 @@ class World {
   /// Runs `nprocs = placement.size()` processes; process i executes `body`
   /// on processor `placement[i]` of `cluster`. Blocks until every process
   /// returns; rethrows the first process exception (after releasing the
-  /// others). The cluster must outlive the call.
+  /// others). The cluster must outlive the call. Raises MpError when called
+  /// from a simulated process (nested simulations are not supported).
   static RunResult run(const hnoc::Cluster& cluster, std::vector<int> placement,
                        const std::function<void(Proc&)>& body,
                        Options options = Options());

@@ -11,8 +11,8 @@
 // one are serviced for the estimator's predicted makespan.
 //
 // Thread safety: one coarse mutex guards every public operation, so
-// simulated processes (OS threads under the thread engine) can share one
-// scheduler through the C API.
+// simulated processes (whichever event-engine worker hosts them) can share
+// one scheduler through the C API.
 #pragma once
 
 #include <iosfwd>
@@ -66,8 +66,8 @@ struct SchedConfig {
   /// prevents starvation under a stream of high-priority arrivals).
   double aging_weight = 0.01;
   /// Run job bodies as simulated HMPI runs (measured service). Off inside
-  /// the HMPI runtime: a nested World::run cannot start from a simulated
-  /// process, so the C API schedules on estimates only.
+  /// the HMPI runtime: World::run rejects a call from a simulated process
+  /// (MpError, no nested simulations), so the C API schedules on estimates.
   bool execute = false;
   /// Mapper for placement: "" or "greedy" (default; the scheduler prices
   /// thousands of placements per trace), "swap-refine", "annealing",
@@ -75,8 +75,8 @@ struct SchedConfig {
   std::string mapper;
   /// Estimator overheads for placement pricing.
   est::EstimateOptions estimate;
-  /// Engine for executed jobs (kAuto resolves HMPI_SIM_ENGINE).
-  mp::sim::SimEngine engine = mp::sim::SimEngine::kAuto;
+  /// Engine for executed jobs (kEvent is the only engine).
+  mp::sim::SimEngine engine = mp::sim::SimEngine::kEvent;
   /// Optional recorder of kSchedDispatch/kSchedPreempt instants (borrowed).
   mp::Tracer* tracer = nullptr;
 };
@@ -158,7 +158,7 @@ class Scheduler {
   /// property (tests/sched/preempt_determinism_test.cpp).
   static std::uint64_t uncontended_run(const hnoc::Cluster& cluster,
                                        const JobSpec& spec,
-                                       mp::sim::SimEngine engine = mp::sim::SimEngine::kAuto);
+                                       mp::sim::SimEngine engine = mp::sim::SimEngine::kEvent);
 
  private:
   struct Record {

@@ -35,8 +35,8 @@ class DeadlockError : public MpError {
 };
 
 /// A receive was posted against a peer that has (injected-fault) crashed and
-/// can never satisfy it. Raised in O(ms) of wall time instead of waiting out
-/// the deadlock timeout.
+/// can never satisfy it. Raised as soon as the receiver observes the crash,
+/// instead of surfacing later as a DeadlockError.
 class PeerFailedError : public MpError {
  public:
   PeerFailedError(const std::string& what, int peer_world_rank,

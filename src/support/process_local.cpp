@@ -4,8 +4,8 @@ namespace hmpi::support {
 
 namespace {
 
-// The table for threads that are themselves a simulated process (thread
-// engine) or are no process at all (host threads, e.g. a mapper pool worker).
+// The table for threads outside any simulated process (host threads, e.g. a
+// mapper pool worker).
 thread_local ProcessLocals tls_locals;
 
 // Overrides tls_locals while a fiber is resumed on this thread.

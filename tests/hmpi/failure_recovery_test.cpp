@@ -52,12 +52,6 @@ std::vector<ParamValue> volumes(int p) {
   return {pmdl::array(std::vector<long long>(static_cast<std::size_t>(p), 10))};
 }
 
-World::Options fast_timeout() {
-  World::Options o;
-  o.deadlock_timeout_s = 2.0;
-  return o;
-}
-
 TEST(FailureRecovery, ReconTimeoutMarksProcessorSuspect) {
   // The "hung" machine is simply 100x slower: its benchmark blows both
   // attempt budgets (1s, then 2s) while the fast machines finish in 0.1s.
@@ -192,7 +186,7 @@ TEST(FailureRecovery, SuspectReadmittedWhenModelInfeasibleWithoutIt) {
 }
 
 TEST(FailureRecovery, GroupCreateExcludesDeadRankAndReportsDegraded) {
-  World::Options options = fast_timeout();
+  World::Options options;
   options.faults.crashes.push_back({2, 0.005});
   Model model = compute_model();
   World::run_one_per_processor(
@@ -227,7 +221,7 @@ TEST(FailureRecovery, GroupRespawnAfterMemberDeath) {
   // the death directly (PeerFailedError from its receive); rank 0 was
   // blocked on the *alive* rank 2 and is released by the context revocation
   // that rank 2's group_respawn performs. Both rebuild a 2-member group.
-  World::Options options = fast_timeout();
+  World::Options options;
   options.faults.crashes.push_back({1, 1.0});
   Model model = compute_model();
   std::atomic<int> peer_failed{0};
@@ -289,7 +283,7 @@ TEST(FailureRecovery, GroupRespawnDraftsReplacementFromFreePool) {
                               .add("fast2", 100.0)
                               .add("spare", 50.0)
                               .build();
-  World::Options options = fast_timeout();
+  World::Options options;
   options.faults.crashes.push_back({1, 1.0});
   Model model = compute_model();
   World::run_one_per_processor(
@@ -344,7 +338,7 @@ TEST(FailureRecovery, GroupRespawnDraftsReplacementFromFreePool) {
 }
 
 TEST(FailureRecovery, GroupFailReleasesWithoutBarrier) {
-  World::Options options = fast_timeout();
+  World::Options options;
   options.faults.crashes.push_back({2, 1.0});
   Model model = compute_model();
   World::run_one_per_processor(

@@ -1,10 +1,10 @@
 // Causal profiling under the simulator (docs/observability.md): the
-// critical-path length telescopes to the makespan bit-identically under both
-// engines, a deliberately slowed machine or link tops the blame tables, the
-// always-on ring mode leaves every existing observable bit-identical to a
-// profiling-off run, ring truncation degrades gracefully, and the Perfetto
-// export (trace events + flow arrows) is identical across engines and event
-// worker counts (the span-nesting contract).
+// critical-path length telescopes to the makespan bit-identically (and the
+// path matches its golden fixture), a deliberately slowed machine or link
+// tops the blame tables, the always-on ring mode leaves every existing
+// observable bit-identical to a profiling-off run, ring truncation degrades
+// gracefully, and the Perfetto export (trace events + flow arrows) matches
+// its fixture at every event worker count (the span-nesting contract).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -74,52 +74,57 @@ void mixed_program(Proc& p) {
   }
 }
 
-World::RunResult run_with(sim::SimEngine engine, const hnoc::Cluster& cluster,
-                          ProfMode prof, int event_workers = 1) {
+testing::SimRun run_mixed(const hnoc::Cluster& cluster, ProfMode prof,
+                          int event_workers = 1) {
   std::vector<int> placement(static_cast<std::size_t>(cluster.size()));
   for (int r = 0; r < cluster.size(); ++r)
     placement[static_cast<std::size_t>(r)] = r;
   World::Options options;
-  options.engine = engine;
-  options.event_workers = event_workers;
   options.prof = prof;
-  return World::run(cluster, placement, mixed_program, options);
+  return testing::run_program(cluster, placement, mixed_program, options,
+                              event_workers);
+}
+
+/// Exact text of a critical-path report's walk, for the golden fixture.
+std::string path_text(const CriticalPathReport& report) {
+  std::ostringstream os;
+  os << "end_rank " << report.end_rank << '\n';
+  for (const auto& seg : report.segments) {
+    os << static_cast<int>(seg.kind) << ' ' << seg.rank << ' '
+       << testing::hex_double(seg.t0) << ' ' << testing::hex_double(seg.t1)
+       << '\n';
+  }
+  for (const auto& [proc, sec] : report.machine_s) {
+    os << "machine " << proc << ' ' << testing::hex_double(sec) << '\n';
+  }
+  for (const auto& [link, sec] : report.link_s) {
+    os << "link " << link.first << ' ' << link.second << ' '
+       << testing::hex_double(sec) << '\n';
+  }
+  return os.str();
 }
 
 TEST(CausalSim, PathEqualsMakespanBitIdenticallyUnderBothEngines) {
   const hnoc::Cluster cluster = hnoc::testbeds::paper_em3d_network();
-  const auto thread_run =
-      run_with(sim::SimEngine::kThread, cluster, ProfMode::kFull);
-  const auto event_run =
-      run_with(sim::SimEngine::kEvent, cluster, ProfMode::kFull, 4);
+  const testing::SimRun run = run_mixed(cluster, ProfMode::kFull, 4);
+  ASSERT_FALSE(run.threw) << run.error;
+  ASSERT_NE(run.result.causal, nullptr);
+  const CriticalPathReport report =
+      telemetry::analyze_critical_path(*run.result.causal);
+  EXPECT_TRUE(report.complete);
+  EXPECT_EQ(report.events_dropped, 0u);
+  // Bit-identical, not approximately equal: the virtual clock only moves
+  // inside recorded events, so the backward walk telescopes exactly.
+  EXPECT_EQ(report.makespan_s, run.result.makespan);
+  EXPECT_EQ(report.path_s, run.result.makespan);
 
-  for (const auto& run : {thread_run, event_run}) {
-    ASSERT_NE(run.causal, nullptr);
-    const CriticalPathReport report =
-        telemetry::analyze_critical_path(*run.causal);
-    EXPECT_TRUE(report.complete);
-    EXPECT_EQ(report.events_dropped, 0u);
-    // Bit-identical, not approximately equal: the virtual clock only moves
-    // inside recorded events, so the backward walk telescopes exactly.
-    EXPECT_EQ(report.makespan_s, run.makespan);
-    EXPECT_EQ(report.path_s, run.makespan);
-  }
-
-  // And the two engines agree on the path itself, segment by segment.
-  const CriticalPathReport a =
-      telemetry::analyze_critical_path(*thread_run.causal);
-  const CriticalPathReport b =
-      telemetry::analyze_critical_path(*event_run.causal);
-  EXPECT_EQ(a.end_rank, b.end_rank);
-  ASSERT_EQ(a.segments.size(), b.segments.size());
-  for (std::size_t i = 0; i < a.segments.size(); ++i) {
-    EXPECT_EQ(a.segments[i].kind, b.segments[i].kind) << i;
-    EXPECT_EQ(a.segments[i].rank, b.segments[i].rank) << i;
-    EXPECT_EQ(a.segments[i].t0, b.segments[i].t0) << i;
-    EXPECT_EQ(a.segments[i].t1, b.segments[i].t1) << i;
-  }
-  EXPECT_EQ(a.machine_s, b.machine_s);
-  EXPECT_EQ(a.link_s, b.link_s);
+  // The run and the path itself, segment by segment, match the golden
+  // fixture.
+  const std::string path = path_text(report);
+  testing::expect_golden(
+      "CausalSim.PathEqualsMakespan", run,
+      {{"path_segments", std::to_string(report.segments.size())},
+       {"path_fnv1a64", testing::fnv1a_hex(path)}});
 }
 
 /// The label (machine or link identity) with the most on-path seconds —
@@ -212,14 +217,8 @@ TEST(CausalSim, DefaultRingModeLeavesTraceBitIdentical) {
   for (int r = 0; r < cluster.size(); ++r)
     placement[static_cast<std::size_t>(r)] = r;
 
-  auto run_once = [&](ProfMode prof) {
-    World::Options options;
-    options.prof = prof;
-    return testing::run_with_engine(sim::SimEngine::kThread, cluster,
-                                    placement, mixed_program, options);
-  };
-  const testing::EngineRun ring = run_once(ProfMode::kAuto);  // -> kRing
-  const testing::EngineRun off = run_once(ProfMode::kOff);
+  const testing::SimRun ring = run_mixed(cluster, ProfMode::kAuto);  // kRing
+  const testing::SimRun off = run_mixed(cluster, ProfMode::kOff);
   ASSERT_NE(ring.result.causal, nullptr);
   EXPECT_EQ(ring.result.causal->mode(), ProfMode::kRing);
   EXPECT_EQ(off.result.causal->mode(), ProfMode::kOff);
@@ -255,34 +254,25 @@ TEST(CausalSim, RingTruncationReportsIncompleteWithGap) {
 TEST(CausalSim, PerfettoExportIdenticalAcrossEnginesAndWorkers) {
   // The span-nesting contract: the full Perfetto document — tracer 'X'/'i'
   // events plus the causal flow arrows — is byte-identical under the thread
-  // engine and the event engine at 1, 2, and 8 workers. mixed_program uses
-  // only virtual-time kinds, so no wall-clock masking is needed.
+  // engine (the fixture) and the event engine at 1, 2, and 8 workers.
+  // mixed_program uses only virtual-time kinds, so no wall-clock masking is
+  // needed.
   const hnoc::Cluster cluster = hnoc::testbeds::two_level(2, 3, 80.0);
-  std::vector<int> placement(static_cast<std::size_t>(cluster.size()));
-  for (int r = 0; r < cluster.size(); ++r)
-    placement[static_cast<std::size_t>(r)] = r;
-
-  auto export_once = [&](sim::SimEngine engine, int workers) {
-    Tracer tracer;
-    World::Options options;
-    options.engine = engine;
-    options.event_workers = workers;
-    options.tracer = &tracer;
-    options.prof = telemetry::ProfMode::kFull;
-    const auto result = World::run(cluster, placement, mixed_program, options);
-    auto events = to_chrome_events(tracer.events());
-    auto flows = telemetry::causal_flow_events(*result.causal);
+  for (int workers : {1, 2, 8}) {
+    SCOPED_TRACE("event engine with " + std::to_string(workers) + " workers");
+    const testing::SimRun run = run_mixed(cluster, ProfMode::kFull, workers);
+    ASSERT_FALSE(run.threw) << run.error;
+    auto events = to_chrome_events(run.events);
+    auto flows = telemetry::causal_flow_events(*run.result.causal);
     events.insert(events.end(), flows.begin(), flows.end());
     std::ostringstream os;
     telemetry::write_chrome_trace(os, std::move(events));
-    return os.str();
-  };
-
-  const std::string reference = export_once(sim::SimEngine::kThread, 1);
-  EXPECT_FALSE(reference.empty());
-  for (int workers : {1, 2, 8}) {
-    EXPECT_EQ(reference, export_once(sim::SimEngine::kEvent, workers))
-        << "event engine with " << workers << " workers";
+    const std::string doc = os.str();
+    EXPECT_FALSE(doc.empty());
+    testing::expect_golden(
+        "CausalSim.PerfettoExport", run,
+        {{"perfetto_bytes", std::to_string(doc.size())},
+         {"perfetto_fnv1a64", testing::fnv1a_hex(doc)}});
   }
 }
 

@@ -237,7 +237,6 @@ TEST(Collectives, ReduceFloatDeterministicOrder) {
 
 TEST(Collectives, RootValidation) {
   World::Options o;
-  o.deadlock_timeout_s = 1.0;
   EXPECT_THROW(World::run_one_per_processor(
                    uniform(2),
                    [](Proc& p) {

@@ -118,7 +118,6 @@ TEST(CommMgmt, CreateSubcommOverSubset) {
 
 TEST(CommMgmt, CreateSubcommRequiresMembership) {
   World::Options o;
-  o.deadlock_timeout_s = 1.0;
   EXPECT_THROW(World::run_one_per_processor(
                    uniform(3),
                    [](Proc& p) {
@@ -132,7 +131,6 @@ TEST(CommMgmt, CreateSubcommRequiresMembership) {
 
 TEST(CommMgmt, CreateSubcommRejectsDuplicates) {
   World::Options o;
-  o.deadlock_timeout_s = 1.0;
   EXPECT_THROW(World::run_one_per_processor(
                    uniform(3),
                    [](Proc& p) {

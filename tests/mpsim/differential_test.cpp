@@ -1,12 +1,12 @@
-// Dual-engine differential suite: every program shape the simulator supports,
-// run under the thread engine and the event engine and compared bit-for-bit
-// (virtual clocks, stats, failed ranks, trace CSV) via differential.hpp.
+// Golden differential suite: every program shape the simulator supports,
+// run and compared bit-for-bit (virtual clocks, stats, failed ranks, trace
+// CSV) against fixtures first captured from the retired thread-per-process
+// engine (differential.hpp, tests/mpsim/golden/).
 //
-// These are the pinning tests of the engine-equivalence contract in
-// docs/simulator.md: heterogeneous p2p, every collective family, two-level
-// topology-aware broadcast, fault plans (delay and crash/failover), the EM3D
-// application, the HMPI runtime lifecycle, and the event engine's own
-// worker-count invariance.
+// These pin the determinism contract in docs/simulator.md: heterogeneous
+// p2p, every collective family, two-level topology-aware broadcast, fault
+// plans (delay and crash/failover), the EM3D application, the HMPI runtime
+// lifecycle, and the event engine's worker-count invariance.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -26,9 +26,9 @@
 namespace hmpi::mp {
 namespace {
 
-using testing::expect_engines_agree;
+using testing::expect_golden_run;
 using testing::expect_identical_runs;
-using testing::run_with_engine;
+using testing::run_program;
 
 std::vector<int> identity_placement(int n) {
   std::vector<int> placement(static_cast<std::size_t>(n));
@@ -41,7 +41,8 @@ std::vector<int> identity_placement(int n) {
 TEST(Differential, HeterogeneousP2pRing) {
   hnoc::Cluster cluster = hnoc::testbeds::paper_em3d_network();
   const int n = cluster.size();
-  expect_engines_agree(cluster, identity_placement(n), [n](Proc& p) {
+  expect_golden_run("Differential.HeterogeneousP2pRing", cluster,
+                    identity_placement(n), [n](Proc& p) {
     Comm comm = p.world_comm();
     const int next = (p.rank() + 1) % n;
     const int prev = (p.rank() + n - 1) % n;
@@ -62,7 +63,8 @@ TEST(Differential, HeterogeneousP2pRing) {
 TEST(Differential, NonblockingAndSendrecv) {
   hnoc::Cluster cluster = hnoc::testbeds::paper_mm_network();
   const int n = cluster.size();
-  expect_engines_agree(cluster, identity_placement(n), [n](Proc& p) {
+  expect_golden_run("Differential.NonblockingAndSendrecv", cluster,
+                    identity_placement(n), [n](Proc& p) {
     Comm comm = p.world_comm();
     const int partner = p.rank() ^ 1;
     if (partner < n) {
@@ -85,7 +87,8 @@ TEST(Differential, NonblockingAndSendrecv) {
 TEST(Differential, CollectiveSuite) {
   hnoc::Cluster cluster = hnoc::testbeds::paper_em3d_network();
   const int n = cluster.size();
-  expect_engines_agree(cluster, identity_placement(n), [n](Proc& p) {
+  expect_golden_run("Differential.CollectiveSuite", cluster,
+                    identity_placement(n), [n](Proc& p) {
     Comm comm = p.world_comm();
     comm.barrier();
 
@@ -114,7 +117,8 @@ TEST(Differential, CollectiveSuite) {
 
 TEST(Differential, SubcommunicatorsAndSplit) {
   hnoc::Cluster cluster = hnoc::testbeds::homogeneous(8, 100.0);
-  expect_engines_agree(cluster, identity_placement(8), [](Proc& p) {
+  expect_golden_run("Differential.SubcommunicatorsAndSplit", cluster,
+                    identity_placement(8), [](Proc& p) {
     Comm world = p.world_comm();
     // Odd/even split, reversed key order inside each colour.
     Comm half = world.split(p.rank() % 2, -p.rank());
@@ -135,13 +139,13 @@ TEST(Differential, SubcommunicatorsAndSplit) {
 
 TEST(Differential, TwoLevelBcastOnTwoLevelCluster) {
   // Forcing kTwoLevel over a two-level cluster exercises the LAN-collapsed
-  // schedule generation (coll::two_level_groups) identically in both engines.
+  // schedule generation (coll::two_level_groups).
   hnoc::Cluster cluster = hnoc::testbeds::two_level(3, 4, 80.0);
   World::Options options;
   options.coll.bcast = coll::BcastAlgo::kTwoLevel;
   options.coll.barrier = coll::BarrierAlgo::kTournament;
-  expect_engines_agree(
-      cluster, identity_placement(12),
+  expect_golden_run(
+      "Differential.TwoLevelBcastOnTwoLevelCluster", cluster, identity_placement(12),
       [](Proc& p) {
         Comm comm = p.world_comm();
         std::vector<double> payload(256, p.rank() == 0 ? 3.5 : 0.0);
@@ -160,8 +164,8 @@ TEST(Differential, MessageDelayFaults) {
   options.faults.delay_probability = 0.5;
   options.faults.delay_s = 0.125;
   options.faults.seed = 2003;
-  expect_engines_agree(
-      cluster, identity_placement(6),
+  expect_golden_run(
+      "Differential.MessageDelayFaults", cluster, identity_placement(6),
       [](Proc& p) {
         Comm comm = p.world_comm();
         const int n = p.nprocs();
@@ -179,8 +183,8 @@ TEST(Differential, LinkOutageDefersTransfers) {
   hnoc::Cluster cluster = hnoc::testbeds::homogeneous(3, 100.0);
   World::Options options;
   options.faults.outages.push_back({0, 1, 0.0, 0.5});
-  expect_engines_agree(
-      cluster, identity_placement(3),
+  expect_golden_run(
+      "Differential.LinkOutageDefersTransfers", cluster, identity_placement(3),
       [](Proc& p) {
         Comm comm = p.world_comm();
         if (p.rank() == 0) comm.send_value(11, 1, 1);
@@ -195,15 +199,14 @@ TEST(Differential, LinkOutageDefersTransfers) {
 TEST(Differential, CrashFailoverRing) {
   // The EM3D-failover shape: rank 1 dies mid-ring at t=1.0. Its direct
   // receiver observes a fail-fast PeerFailedError; the remaining survivor is
-  // starved by the stopped (but alive) peer and gets DeadlockError. Both
-  // engines must agree on everything, including which ranks failed.
+  // starved by the stopped (but alive) peer and gets DeadlockError. The
+  // fixture pins everything, including which ranks failed.
   hnoc::Cluster cluster = hnoc::testbeds::homogeneous(3, 100.0);
   World::Options options;
-  options.deadlock_timeout_s = 1.0;
   options.faults.crashes.push_back({1, 1.0});
   std::atomic<int> failures{0};
-  testing::EngineRun pinned = expect_engines_agree(
-      cluster, identity_placement(3),
+  testing::SimRun pinned = expect_golden_run(
+      "Differential.CrashFailoverRing", cluster, identity_placement(3),
       [&](Proc& p) {
         Comm comm = p.world_comm();
         const int n = p.nprocs();
@@ -226,8 +229,7 @@ TEST(Differential, CrashFailoverRing) {
       },
       options);
   EXPECT_EQ(pinned.result.failed_ranks, (std::vector<int>{1}));
-  // 2 survivors per engine run; expect_engines_agree ran both engines once.
-  EXPECT_EQ(failures.load(), 4);
+  EXPECT_EQ(failures.load(), 2);  // both survivors
 }
 
 // --- applications and the runtime stack -----------------------------------
@@ -245,7 +247,8 @@ TEST(Differential, Em3dParallelRealMode) {
   apps::em3d::System system = apps::em3d::generate(em3d_config());
   const double expected = apps::em3d::serial_run(system, 2);
   hnoc::Cluster cluster = hnoc::testbeds::paper_em3d_network();
-  expect_engines_agree(cluster, {0, 6, 7, 8}, [&](Proc& p) {
+  expect_golden_run("Differential.Em3dParallelRealMode", cluster, {0, 6, 7, 8},
+                    [&](Proc& p) {
     apps::em3d::ParallelResult result = apps::em3d::run_parallel(
         p.world_comm(), system, 2, apps::em3d::WorkMode::kReal);
     EXPECT_NEAR(result.checksum, expected, 1e-9 + 1e-12 * std::abs(expected));
@@ -287,8 +290,8 @@ TEST(Differential, HmpiRuntimeLifecycle) {
   // storage layer (Runtime and telemetry spans per simulated process).
   hnoc::Cluster cluster = hnoc::testbeds::paper_em3d_network();
   pmdl::Model model = compute_model();
-  expect_engines_agree(cluster, identity_placement(cluster.size()),
-                       [&](Proc& p) {
+  expect_golden_run("Differential.HmpiRuntimeLifecycle", cluster,
+                    identity_placement(cluster.size()), [&](Proc& p) {
     hmpi::Runtime rt(p);
     rt.recon([](Proc& q) { q.compute(1.0); });
     auto group = rt.group_create(
@@ -322,12 +325,9 @@ TEST(Differential, EventWorkerCountsAgree) {
       comm.barrier();
     }
   };
-  testing::EngineRun w1 = run_with_engine(sim::SimEngine::kEvent, cluster,
-                                          identity_placement(n), body, {}, 1);
-  testing::EngineRun w2 = run_with_engine(sim::SimEngine::kEvent, cluster,
-                                          identity_placement(n), body, {}, 2);
-  testing::EngineRun w8 = run_with_engine(sim::SimEngine::kEvent, cluster,
-                                          identity_placement(n), body, {}, 8);
+  testing::SimRun w1 = run_program(cluster, identity_placement(n), body, {}, 1);
+  testing::SimRun w2 = run_program(cluster, identity_placement(n), body, {}, 2);
+  testing::SimRun w8 = run_program(cluster, identity_placement(n), body, {}, 8);
   expect_identical_runs(w1, w2);
   expect_identical_runs(w1, w8);
 }

@@ -103,7 +103,6 @@ INSTANTIATE_TEST_SUITE_P(Sizes, VariableOpsP, ::testing::Values(1, 2, 3, 5, 9));
 
 TEST(ExtendedOps, GathervValidation) {
   World::Options o;
-  o.deadlock_timeout_s = 1.0;
   EXPECT_THROW(World::run_one_per_processor(
                    uniform(2),
                    [](Proc& p) {

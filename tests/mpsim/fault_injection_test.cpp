@@ -18,14 +18,8 @@ namespace {
 
 hnoc::Cluster uniform(int n) { return hnoc::testbeds::homogeneous(n, 100.0); }
 
-World::Options fast_timeout() {
-  World::Options o;
-  o.deadlock_timeout_s = 1.0;
-  return o;
-}
-
 TEST(FaultInjection, CrashBeforeSendRaisesPeerFailed) {
-  World::Options options = fast_timeout();
+  World::Options options;
   options.faults.crashes.push_back({1, 0.005});
   std::atomic<bool> saw_peer_failed{false};
   const auto result = World::run_one_per_processor(
@@ -51,7 +45,7 @@ TEST(FaultInjection, CrashBeforeSendRaisesPeerFailed) {
 }
 
 TEST(FaultInjection, CrashAfterSendStillDeliversBufferedMessage) {
-  World::Options options = fast_timeout();
+  World::Options options;
   options.faults.crashes.push_back({1, 0.005});
   std::atomic<bool> got_value{false};
   std::atomic<bool> saw_peer_failed{false};
@@ -78,7 +72,7 @@ TEST(FaultInjection, CrashAfterSendStillDeliversBufferedMessage) {
 }
 
 TEST(FaultInjection, PeerFailedRaisesFastNotAfterDeadlockTimeout) {
-  World::Options options;  // default 30s deadlock timeout
+  World::Options options;
   options.faults.crashes.push_back({1, 0.005});
   const auto wall_start = std::chrono::steady_clock::now();
   World::run_one_per_processor(
@@ -94,12 +88,12 @@ TEST(FaultInjection, PeerFailedRaisesFastNotAfterDeadlockTimeout) {
   const double wall_s = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - wall_start)
                             .count();
-  EXPECT_LT(wall_s, 2.0);  // O(ms) fail-fast, not the 30s timeout
+  EXPECT_LT(wall_s, 2.0);  // O(ms) fail-fast, not a stall diagnosis
 }
 
 TEST(FaultInjection, CrashEventRecordedInTrace) {
   Tracer tracer;
-  World::Options options = fast_timeout();
+  World::Options options;
   options.tracer = &tracer;
   options.faults.crashes.push_back({0, 0.25});
   World::run_one_per_processor(
@@ -116,7 +110,7 @@ TEST(FaultInjection, CrashEventRecordedInTrace) {
 }
 
 TEST(FaultInjection, LinkOutageDefersTransfer) {
-  World::Options options = fast_timeout();
+  World::Options options;
   // Directed link 0 -> 1 is down until t=5; the reply path is unaffected.
   options.faults.outages.push_back({0, 1, 0.0, 5.0});
   World::run_one_per_processor(
@@ -152,8 +146,7 @@ TEST(FaultInjection, AvailabilityCalendarDerivesFaults) {
         } else {
           EXPECT_THROW(p.world_comm().recv_value<int>(1, 1), PeerFailedError);
         }
-      },
-      fast_timeout());
+      });
   EXPECT_EQ(result.failed_ranks, (std::vector<int>{1}));
 }
 
@@ -164,7 +157,7 @@ TEST(FaultInjection, MessageDropsAreDeterministicUnderFixedSeed) {
   plan.seed = 12345;
 
   const auto run_once = [&](Tracer* tracer) {
-    World::Options options = fast_timeout();
+    World::Options options;
     options.faults = plan;
     options.tracer = tracer;
     return World::run_one_per_processor(
@@ -206,7 +199,7 @@ TEST(FaultInjection, MessageDropsAreDeterministicUnderFixedSeed) {
 }
 
 TEST(FaultInjection, DelayedMessagesArriveLate) {
-  World::Options options = fast_timeout();
+  World::Options options;
   options.faults.delay_probability = 1.0;  // every user message delayed
   options.faults.delay_s = 2.0;
   World::run_one_per_processor(
@@ -241,9 +234,9 @@ TEST(FaultInjection, ZeroCostWhenOff) {
   };
 
   const auto baseline =
-      World::run_one_per_processor(uniform(4), workload, fast_timeout());
+      World::run_one_per_processor(uniform(4), workload);
 
-  World::Options armed = fast_timeout();
+  World::Options armed;
   armed.faults.crashes.push_back({0, 1e9});           // far beyond the run
   armed.faults.outages.push_back({0, 1, 1e9, 2e9});   // never overlaps
   armed.faults.seed = 7;
@@ -269,8 +262,7 @@ TEST(FaultInjection, DeadlockErrorEnumeratesPendingState) {
           } else {
             comm.recv_value<int>(0, 5);  // tag 5: never sent
           }
-        },
-        fast_timeout());
+        });
     FAIL() << "expected DeadlockError";
   } catch (const DeadlockError& e) {
     const std::string what = e.what();
@@ -279,25 +271,6 @@ TEST(FaultInjection, DeadlockErrorEnumeratesPendingState) {
     EXPECT_NE(what.find("unmatched incoming send"), std::string::npos) << what;
     EXPECT_NE(what.find("tag=9"), std::string::npos) << what;
   }
-}
-
-TEST(FaultInjection, PerReceiveTimeoutOverridesWorldTimeout) {
-  World::Options options;  // default 30s deadlock timeout
-  const auto wall_start = std::chrono::steady_clock::now();
-  World::run_one_per_processor(
-      uniform(2),
-      [](Proc& p) {
-        if (p.rank() == 0) {
-          EXPECT_THROW(p.world_comm().recv_value<int>(
-                           1, 1, nullptr, /*timeout_s=*/0.2),
-                       DeadlockError);
-        }
-      },
-      options);
-  const double wall_s = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - wall_start)
-                            .count();
-  EXPECT_LT(wall_s, 5.0);  // 0.2s override, not the 30s world default
 }
 
 TEST(FaultInjection, RevokedContextUnblocksReceiver) {
@@ -310,8 +283,7 @@ TEST(FaultInjection, RevokedContextUnblocksReceiver) {
         } else {
           EXPECT_THROW(comm.recv_value<int>(0, 1), RevokedError);
         }
-      },
-      fast_timeout());
+      });
 }
 
 }  // namespace

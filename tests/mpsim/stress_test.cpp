@@ -132,7 +132,6 @@ TEST(Stress, WaitAnyCompletesInArrivalOpportunityOrder) {
 TEST(Stress, FailureReleasesManyBlockedPeers) {
   hnoc::Cluster cluster = hnoc::testbeds::homogeneous(6, 50.0);
   World::Options o;
-  o.deadlock_timeout_s = 30.0;
   try {
     World::run_one_per_processor(
         cluster,
@@ -222,7 +221,6 @@ TEST(StressAtScale, TenThousandProcessRingAndBarrier) {
   for (int r = 0; r < P; ++r) placement[static_cast<std::size_t>(r)] = r % machines;
 
   World::Options options;
-  options.engine = sim::SimEngine::kEvent;
   options.fiber_stack_bytes = 256 * 1024;
 
   const auto wall_start = std::chrono::steady_clock::now();
@@ -293,7 +291,6 @@ TEST(StressAtScale, FullProfilingStaysWithinWallBudget) {
   for (int r = 0; r < P; ++r) placement[static_cast<std::size_t>(r)] = r % machines;
 
   World::Options options;
-  options.engine = sim::SimEngine::kEvent;
   options.fiber_stack_bytes = 256 * 1024;
   options.prof = telemetry::ProfMode::kFull;
 
@@ -342,7 +339,6 @@ TEST(StressAtScale, RepeatedRunsAreBitIdentical) {
   std::vector<int> placement(static_cast<std::size_t>(P));
   for (int r = 0; r < P; ++r) placement[static_cast<std::size_t>(r)] = r % 8;
   World::Options options;
-  options.engine = sim::SimEngine::kEvent;
   options.fiber_stack_bytes = 256 * 1024;
   auto run_once = [&] {
     return World::run(

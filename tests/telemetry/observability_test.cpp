@@ -75,7 +75,6 @@ TEST(Observability, FailoverTraceExportsNestedSpans) {
   telemetry::spans().clear();
   mp::Tracer tracer;
   World::Options options;
-  options.deadlock_timeout_s = 2.0;
   options.tracer = &tracer;
   options.faults.crashes.push_back({1, 1.0});
   Model model = compute_model();

@@ -26,7 +26,7 @@
 //     `adapt.predicted_gain_seconds|realized_gain_seconds`
 //     (docs/adaptation.md). Metrics in the reserved `sim.` namespace must
 //     follow the simulator-engine grammar: counters
-//     `sim.dispatches|stalls|runs.event|runs.thread`, gauges
+//     `sim.dispatches|stalls|runs.event`, gauges
 //     `sim.fibers|workers|ready_peak|stack_bytes` (docs/simulator.md).
 //   * Bench exports ({"benchmark": ..., "tables": [...]}): every table needs
 //     title/columns/rows with rows matching the column count.
@@ -217,12 +217,12 @@ bool valid_adapt_metric(const std::string& name, MetricKind kind) {
 // The simulator-engine grammar for the reserved "sim." namespace
 // (docs/simulator.md), by metric kind. The event engine emits the dispatch
 // counters and capacity gauges at the end of each run; World::run counts
-// engine selections.
+// runs.
 bool valid_sim_metric(const std::string& name, MetricKind kind) {
   switch (kind) {
     case MetricKind::kCounter:
       return name == "sim.dispatches" || name == "sim.stalls" ||
-             name == "sim.runs.event" || name == "sim.runs.thread";
+             name == "sim.runs.event";
     case MetricKind::kGauge:
       return name == "sim.fibers" || name == "sim.workers" ||
              name == "sim.ready_peak" || name == "sim.stack_bytes";
@@ -332,7 +332,7 @@ void check_metrics(const std::string& file, const JsonValue& doc) {
           !valid_sim_metric(name, MetricKind::kCounter)) {
         fail(file, "counter '" + name +
                        "' violates the sim.* grammar (expected "
-                       "sim.dispatches|stalls|runs.event|runs.thread)");
+                       "sim.dispatches|stalls|runs.event)");
       }
       if (name.rfind("sched.", 0) == 0 &&
           !valid_sched_metric(name, MetricKind::kCounter)) {
