@@ -1,16 +1,13 @@
-// Ablation A9 (DESIGN.md): the compiled cost IR and delta re-estimation
-// (docs/estimator.md). Three tables on the paper's 9-machine EM3D testbed:
+// Ablation A9 (DESIGN.md): the compiled cost IR (docs/estimator.md). Two
+// tables on the paper's 9-machine EM3D testbed:
 //   * A9a — Timeof microbench: pricing the same mappings through the pmdl
-//     scheme interpreter vs Plan::evaluate. Enforces the >= 5x acceptance
-//     bar and bit-identical values per mapping.
-//   * A9b — end-to-end Group_create-shaped selection (portfolio mapper,
-//     estimate cache on, the runtime defaults) across
-//     {interpreter, compiled, compiled+delta} x {1, 2, 8} threads.
-//     Enforces bit-identical selections across every mode/thread pairing.
-//   * A9c — what the delta path saves: IR ops replayed vs the ops full
-//     evaluation would have run, on the hill climbers. EM3D's scheme
-//     touches every processor in its first phase (suffix ~ whole plan);
-//     a staggered pipeline model shows the savings when entries stagger.
+//     scheme interpreter (the test oracle, tests/oracle/) vs
+//     Plan::evaluate. Enforces the >= 5x acceptance bar and bit-identical
+//     values per mapping.
+//   * A9b — end-to-end Group_create-shaped selection (portfolio mapper on
+//     the one estimate route: shared plan cache) across {1, 2, 8} threads x
+//     estimate cache {off, on}. Enforces bit-identical selections across
+//     every cell, each priced exactly as the oracle prices it.
 // Exit status 1 (FATAL on stderr) on any acceptance-bar violation.
 #include <chrono>
 #include <cstdio>
@@ -22,10 +19,10 @@
 #include "apps/em3d/app.hpp"
 #include "bench_util.hpp"
 #include "estimator/estimate_cache.hpp"
-#include "estimator/estimator.hpp"
 #include "estimator/plan.hpp"
 #include "hnoc/cluster.hpp"
 #include "mapper/mapper.hpp"
+#include "oracle/timeline_oracle.hpp"
 #include "pmdl/model.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
@@ -54,29 +51,6 @@ pmdl::ModelInstance em3d_instance() {
   const apps::em3d::System system = apps::em3d::generate(config);
   pmdl::Model model = apps::em3d::performance_model();
   return model.instantiate(apps::em3d::model_parameters(system, /*k=*/1000));
-}
-
-/// Staggered pipeline: processor a enters the schedule only at phase a
-/// (20 computes, then a transfer to a+1), so a move on a late slot leaves a
-/// long untouched prefix — the shape the delta path exists for.
-pmdl::ModelInstance pipeline_instance(int p) {
-  pmdl::InstanceBuilder b("pipeline");
-  b.shape({p});
-  for (int a = 0; a < p; ++a) {
-    b.node_volume(a, 400.0 + 40.0 * a);
-    if (a + 1 < p) b.link(a, a + 1, 1e5);
-  }
-  b.scheme([p](pmdl::ScheduleSink& s) {
-    for (long long a = 0; a < p; ++a) {
-      const long long c[1] = {a};
-      for (int r = 0; r < 20; ++r) s.compute(c, 5.0);
-      if (a + 1 < p) {
-        const long long d[1] = {a + 1};
-        s.transfer(c, d, 100.0);
-      }
-    }
-  });
-  return b.build();
 }
 
 }  // namespace
@@ -109,7 +83,7 @@ int main() {
     }
     for (const std::vector<int>& mapping : mappings) {
       const double interpreted =
-          est::estimate_time(instance, mapping, net, options);
+          est::oracle::estimate_time(instance, mapping, net, options);
       const double compiled = plan.evaluate(mapping, net, options);
       if (interpreted != compiled) {
         std::fprintf(stderr,
@@ -125,7 +99,7 @@ int main() {
     const double interp_ms = wall_ms([&] {
       for (int r = 0; r < reps; ++r) {
         for (const std::vector<int>& mapping : mappings) {
-          sink += est::estimate_time(instance, mapping, net, options);
+          sink += est::oracle::estimate_time(instance, mapping, net, options);
         }
       }
     });
@@ -163,32 +137,24 @@ int main() {
     }
   }
 
-  // --- A9b: end-to-end selection across estimator modes and threads ------
-  // The Group_create workload with runtime defaults (portfolio mapper,
-  // estimate cache on): every mode/thread pairing must reproduce the
-  // interpreter's serial selection bit for bit.
+  // --- A9b: end-to-end selection across threads and the estimate cache ---
+  // The Group_create workload on the one estimate route (portfolio mapper,
+  // shared plan cache): every (threads, cache) cell must reproduce the
+  // first cell's selection bit for bit, and each estimate must be the
+  // oracle's price of its selection.
   {
     const map::PortfolioMapper portfolio;
-
-    struct Mode {
-      const char* name;
-      bool plans;
-      bool delta;
-    };
-    const Mode modes[] = {{"interpreter", false, false},
-                          {"compiled", true, false},
-                          {"compiled+delta", true, true}};
 
     map::MappingResult baseline;
     double baseline_ms = 0.0;
     bool have_baseline = false;
     support::Table endtoend(
-        "Ablation A9b: Group_create selection by estimator mode (em3d, "
-        "portfolio mapper, cache on)",
-        {"mode", "threads", "wall_ms", "speedup", "compiled_evals",
-         "delta_evals", "identical"});
+        "Ablation A9b: Group_create selection on the compiled route (em3d, "
+        "portfolio mapper, shared plan cache)",
+        {"cache", "threads", "wall_ms", "speedup", "compiled_evals",
+         "cache_hit_rate", "identical"});
 
-    for (const Mode& mode : modes) {
+    for (const bool cached : {false, true}) {
       for (int threads : {1, 2, 8}) {
         std::unique_ptr<support::ThreadPool> pool;
         if (threads > 1) pool = std::make_unique<support::ThreadPool>(threads);
@@ -196,9 +162,8 @@ int main() {
         est::PlanCache plans;
         map::SearchContext context;
         context.pool = pool.get();
-        context.cache = &cache;
-        context.plans = mode.plans ? &plans : nullptr;
-        context.delta = mode.delta;
+        context.cache = cached ? &cache : nullptr;
+        context.plans = &plans;
 
         map::MappingResult result;
         const double ms = wall_ms([&] {
@@ -215,70 +180,34 @@ int main() {
             result.estimated_time == baseline.estimated_time;
         if (!identical) {
           std::fprintf(stderr,
-                       "FATAL: %s selection at %d threads diverged from the "
-                       "interpreter baseline\n",
-                       mode.name, threads);
+                       "FATAL: selection with cache %s at %d threads diverged "
+                       "from the first cell\n",
+                       cached ? "on" : "off", threads);
+          return 1;
+        }
+        std::vector<int> mapping;
+        for (int c : result.candidate_for_abstract) {
+          mapping.push_back(candidates[static_cast<std::size_t>(c)].processor);
+        }
+        const double oracle =
+            est::oracle::estimate_time(instance, mapping, net, options);
+        if (result.estimated_time != oracle) {
+          std::fprintf(stderr,
+                       "FATAL: selection estimate %.17g differs from the "
+                       "oracle's price %.17g (cache %s, %d threads)\n",
+                       result.estimated_time, oracle, cached ? "on" : "off",
+                       threads);
           return 1;
         }
         endtoend.add_row(
-            {mode.name, support::Table::num(threads, 0),
+            {cached ? "on" : "off", support::Table::num(threads, 0),
              support::Table::num(ms, 2), support::Table::num(baseline_ms / ms, 2),
              support::Table::num(result.stats.compiled_evaluations, 0),
-             support::Table::num(result.stats.delta_evaluations, 0), "yes"});
+             support::Table::num(result.stats.hit_rate(), 3), "yes"});
       }
     }
     bench::emit(endtoend);
     exported.push_back(endtoend);
-  }
-
-  // --- A9c: delta suffix-replay savings on the hill climbers -------------
-  // savings = 1 - ops_replayed / ops_total. EM3D's first phase touches
-  // every processor, so its suffixes are nearly full-length; the staggered
-  // pipeline is the favourable shape. Replayed includes the amortised
-  // checkpoint rebuilds that follow accepted moves, so slightly negative
-  // savings are possible on unfavourable models.
-  {
-    const pmdl::ModelInstance pipeline = pipeline_instance(net.size() - 1);
-    const map::SwapRefineMapper refine;
-    const map::AnnealingMapper anneal;
-
-    support::Table savings(
-        "Ablation A9c: delta replay savings (1 - ops_replayed/ops_total)",
-        {"model", "mapper", "delta_evals", "ops_replayed", "ops_total",
-         "savings"});
-    struct Workload {
-      const char* model;
-      const pmdl::ModelInstance* instance;
-      const char* mapper;
-      const map::Mapper* algo;
-    };
-    const Workload workloads[] = {
-        {"em3d", &instance, "swap-refine", &refine},
-        {"em3d", &instance, "annealing", &anneal},
-        {"pipeline", &pipeline, "swap-refine", &refine},
-        {"pipeline", &pipeline, "annealing", &anneal},
-    };
-    for (const Workload& w : workloads) {
-      est::PlanCache plans;
-      map::SearchContext context;
-      context.plans = &plans;
-      context.delta = true;
-      const map::MappingResult result =
-          w.algo->select(*w.instance, candidates, 0, net, options, context);
-      const double ratio =
-          result.stats.delta_ops_total > 0
-              ? 1.0 - static_cast<double>(result.stats.delta_ops_replayed) /
-                          static_cast<double>(result.stats.delta_ops_total)
-              : 0.0;
-      savings.add_row(
-          {w.model, w.mapper,
-           support::Table::num(result.stats.delta_evaluations, 0),
-           support::Table::num(result.stats.delta_ops_replayed, 0),
-           support::Table::num(result.stats.delta_ops_total, 0),
-           support::Table::num(ratio, 3)});
-    }
-    bench::emit(savings);
-    exported.push_back(savings);
   }
 
   bench::write_bench_json("est", exported);

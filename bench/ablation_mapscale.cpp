@@ -147,7 +147,6 @@ int main() {
       context.pool = &pool;
       context.cache = &cache;
       context.plans = &plans;
-      context.delta = false;  // both sides on the compiled full-eval route
 
       map::MappingResult result;
       const double ms = wall_ms([&] {

@@ -5,11 +5,11 @@
 
 #include "apps/em3d/app.hpp"
 #include "apps/matmul/app.hpp"
-#include "estimator/estimator.hpp"
 #include "estimator/plan.hpp"
 #include "hnoc/cluster.hpp"
 #include "mapper/mapper.hpp"
 #include "mpsim/comm.hpp"
+#include "oracle/timeline_oracle.hpp"
 
 namespace {
 
@@ -57,7 +57,7 @@ void BM_EstimateEm3dScheme(benchmark::State& state) {
   hnoc::NetworkModel net(cluster);
   std::vector<int> mapping{0, 1, 2, 3, 4, 5, 6, 7, 8};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(est::estimate_time(instance, mapping, net));
+    benchmark::DoNotOptimize(est::oracle::estimate_time(instance, mapping, net));
   }
 }
 BENCHMARK(BM_EstimateEm3dScheme);
@@ -73,7 +73,7 @@ void BM_EstimateAxBScheme(benchmark::State& state) {
   hnoc::NetworkModel net(cluster);
   std::vector<int> mapping{7, 0, 1, 2, 3, 4, 5, 6, 8};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(est::estimate_time(instance, mapping, net));
+    benchmark::DoNotOptimize(est::oracle::estimate_time(instance, mapping, net));
   }
 }
 BENCHMARK(BM_EstimateAxBScheme)->Arg(18)->Arg(45)->Arg(90);

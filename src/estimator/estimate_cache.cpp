@@ -28,20 +28,10 @@ EstimateCache::Shard& EstimateCache::shard_for(const Key& key) {
   return shards_[KeyHash{}(key) % shard_count_];
 }
 
-double EstimateCache::estimate(const pmdl::ModelInstance& instance,
+double EstimateCache::estimate(std::uint64_t fingerprint, const Plan& plan,
                                std::span<const int> mapping,
                                const hnoc::NetworkModel& network,
                                EstimateOptions options, bool* hit) {
-  return estimate(estimate_fingerprint(instance, options), instance, mapping,
-                  network, options, hit, nullptr);
-}
-
-double EstimateCache::estimate(std::uint64_t fingerprint,
-                               const pmdl::ModelInstance& instance,
-                               std::span<const int> mapping,
-                               const hnoc::NetworkModel& network,
-                               EstimateOptions options, bool* hit,
-                               const Plan* plan) {
   // The probe key is thread-local so a table hit allocates nothing; a miss
   // copies it into the table (the one allocation it always paid).
   static thread_local Key key;
@@ -59,13 +49,10 @@ double EstimateCache::estimate(std::uint64_t fingerprint,
       return it->second;
     }
   }
-  // Compute outside the shard lock: schemes can be expensive, and a parallel
-  // search must not serialise on the table. A concurrent miss of the same
-  // key recomputes the same deterministic value.
-  const double seconds = plan != nullptr
-                             ? plan->evaluate(mapping, network, options)
-                             : estimate_time(instance, mapping, network,
-                                             options);
+  // Compute outside the shard lock: a parallel search must not serialise on
+  // the table. A concurrent miss of the same key recomputes the same
+  // deterministic value.
+  const double seconds = plan.evaluate(mapping, network, options);
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
     shard.table.emplace(key, seconds);
@@ -73,39 +60,6 @@ double EstimateCache::estimate(std::uint64_t fingerprint,
   misses_.fetch_add(1, std::memory_order_relaxed);
   if (hit != nullptr) *hit = false;
   return seconds;
-}
-
-bool EstimateCache::lookup(std::uint64_t fingerprint,
-                           std::span<const int> mapping,
-                           const hnoc::NetworkModel& network, double* out) {
-  static thread_local Key key;
-  key.fingerprint = fingerprint;
-  key.version = network.version();
-  key.mapping.assign(mapping.begin(), mapping.end());
-
-  Shard& shard = shard_for(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.table.find(key);
-  if (it == shard.table.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  *out = it->second;
-  return true;
-}
-
-void EstimateCache::insert(std::uint64_t fingerprint,
-                           std::span<const int> mapping,
-                           const hnoc::NetworkModel& network, double seconds) {
-  static thread_local Key key;
-  key.fingerprint = fingerprint;
-  key.version = network.version();
-  key.mapping.assign(mapping.begin(), mapping.end());
-
-  Shard& shard = shard_for(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  shard.table.emplace(key, seconds);
 }
 
 std::size_t EstimateCache::lookup_batch(std::uint64_t fingerprint,

@@ -1,4 +1,4 @@
-// Memoisation of estimate_time for the group-selection search.
+// Memoisation of estimates (Plan::evaluate) for the group-selection search.
 //
 // The mappers (mapper/mapper.hpp) score thousands of candidate arrangements
 // per selection, and many distinct *selections* collapse to the same
@@ -17,7 +17,7 @@
 // constructor knob (RuntimeConfig::est_shards / HMPI_EST_SHARDS): the batch
 // searches probe thousands of keys per round, and bulk probes grouped by
 // shard take each shard mutex once per batch instead of once per key. Two
-// threads that miss the same key concurrently both compute it; estimate_time
+// threads that miss the same key concurrently both compute it; the estimate
 // is deterministic, so whichever insert lands is the same bit pattern —
 // cached and uncached searches return bit-identical results.
 #pragma once
@@ -32,7 +32,6 @@
 
 #include "estimator/estimator.hpp"
 #include "hnoc/network_model.hpp"
-#include "pmdl/model.hpp"
 
 namespace hmpi::est {
 
@@ -48,43 +47,23 @@ class EstimateCache {
   EstimateCache(const EstimateCache&) = delete;
   EstimateCache& operator=(const EstimateCache&) = delete;
 
-  /// estimate_time(instance, mapping, network, options), memoised. Sets
-  /// *hit (when non-null) to whether the value came from the table.
-  double estimate(const pmdl::ModelInstance& instance,
+  /// plan.evaluate(mapping, network, options), memoised. `fingerprint` is
+  /// est::estimate_fingerprint(instance, options) of the instance `plan` was
+  /// compiled from, hoisted out by callers that price many mappings of one
+  /// instance (the fingerprint hashes every aggregate, which would otherwise
+  /// dominate a table hit). Sets *hit (when non-null) to whether the value
+  /// came from the table.
+  double estimate(std::uint64_t fingerprint, const Plan& plan,
                   std::span<const int> mapping,
                   const hnoc::NetworkModel& network, EstimateOptions options,
                   bool* hit = nullptr);
-
-  /// Hot-path overload: `fingerprint` is est::estimate_fingerprint(instance,
-  /// options), hoisted out by callers that price many mappings of one
-  /// instance (the fingerprint hashes every aggregate, which would otherwise
-  /// dominate a table hit). When `plan` is non-null a miss is computed via
-  /// Plan::evaluate instead of the interpreter — bit-identical by the plan's
-  /// contract, so both overloads fill the table interchangeably.
-  double estimate(std::uint64_t fingerprint,
-                  const pmdl::ModelInstance& instance,
-                  std::span<const int> mapping,
-                  const hnoc::NetworkModel& network, EstimateOptions options,
-                  bool* hit, const Plan* plan);
-
-  /// Probe without computing: true and *out filled on a hit. Counts toward
-  /// hits()/misses() exactly like estimate() — the delta search path pairs
-  /// a lookup() with an insert() of its suffix-replayed value, so cached and
-  /// uncached accounting stays interchangeable with the estimate() path.
-  bool lookup(std::uint64_t fingerprint, std::span<const int> mapping,
-              const hnoc::NetworkModel& network, double* out);
-
-  /// Stores a value the caller computed (bit-identical to what estimate()
-  /// would have computed, per the estimator determinism contract).
-  void insert(std::uint64_t fingerprint, std::span<const int> mapping,
-              const hnoc::NetworkModel& network, double seconds);
 
   /// Bulk probe of `count` mappings laid out row-major (mapping i occupies
   /// [i * width, (i + 1) * width) of `mappings`). Sets found[i] to 1 and
   /// fills out[i] on a hit; returns the number of hits. Keys are bucketed by
   /// shard and each shard mutex is taken once per batch — this is what keeps
   /// the batch searches off the per-key locking profile. Counts toward
-  /// hits()/misses() exactly like `count` individual lookup() calls.
+  /// hits()/misses() exactly like `count` individual estimate() probes.
   std::size_t lookup_batch(std::uint64_t fingerprint,
                            std::span<const int> mappings, std::size_t width,
                            const hnoc::NetworkModel& network,

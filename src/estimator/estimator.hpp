@@ -1,10 +1,9 @@
-// Predicted-makespan engine behind HMPI_Timeof and HMPI_Group_create.
+// Shared vocabulary of the predicted-makespan engine behind HMPI_Timeof and
+// HMPI_Group_create (docs/estimator.md).
 //
-// Given a ModelInstance (the compiled performance model), a mapping of
-// abstract processors to physical processors, and the runtime's NetworkModel
-// (estimated speeds + link parameters), the estimator replays the model's
-// scheme on a timeline machine that uses the *same cost formulas* as the
-// mpsim execution engine:
+// Estimates are priced by the compiled cost IR (estimator/plan.hpp), which
+// replays the model's scheme with the *same cost formulas* as the mpsim
+// execution engine:
 //   computation  : (percent/100) * volume / speed(processor)
 //   communication: start at max(sender time, link busy);
 //                  finish = start + latency + bytes/bandwidth;
@@ -17,13 +16,10 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <span>
-#include <vector>
 
 #include "coll/policy.hpp"
 #include "hnoc/network_model.hpp"
-#include "pmdl/model.hpp"
 
 namespace hmpi::est {
 
@@ -32,55 +28,6 @@ struct EstimateOptions {
   double send_overhead_s = 5e-6;
   double recv_overhead_s = 5e-6;
 };
-
-/// ScheduleSink that accumulates a virtual timeline (see file comment).
-class TimelineMachine : public pmdl::ScheduleSink {
- public:
-  /// `mapping[a]` is the physical processor of abstract processor `a`.
-  /// The instance, mapping, and network must outlive the machine.
-  TimelineMachine(const pmdl::ModelInstance& instance,
-                  std::span<const int> mapping,
-                  const hnoc::NetworkModel& network, EstimateOptions options);
-
-  void compute(std::span<const long long> coords, double percent) override;
-  void transfer(std::span<const long long> src, std::span<const long long> dst,
-                double percent) override;
-  void par_begin() override;
-  void par_iter_begin() override;
-  void par_end() override;
-
-  /// Latest per-abstract-processor time (the estimate).
-  double makespan() const;
-
-  /// Per-abstract-processor finish times (diagnostics).
-  const std::vector<double>& times() const noexcept { return state_.time; }
-
- private:
-  struct State {
-    std::vector<double> time;                       // per abstract processor
-    std::map<std::pair<int, int>, double> link_busy;  // per processor pair
-  };
-  static void merge_max(State& into, const State& from);
-
-  const pmdl::ModelInstance* instance_;
-  std::vector<int> mapping_;
-  const hnoc::NetworkModel* network_;
-  EstimateOptions options_;
-
-  State state_;
-  // par nesting: entry snapshots and running element-wise maxima.
-  std::vector<State> snapshots_;
-  std::vector<State> accumulators_;
-};
-
-/// Predicted execution time of `instance` under `mapping` on `network`.
-/// Replays the scheme when present; otherwise falls back to a conservative
-/// per-processor bound: max over processors of (computation + all incident
-/// communication).
-double estimate_time(const pmdl::ModelInstance& instance,
-                     std::span<const int> mapping,
-                     const hnoc::NetworkModel& network,
-                     EstimateOptions options = EstimateOptions());
 
 /// Predicted virtual duration of one collective operation over members
 /// placed on `member_procs` (machine id per communicator rank), using the

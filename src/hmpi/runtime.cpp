@@ -58,23 +58,6 @@ CollConfig coll_config_with_env(CollConfig config) {
   return config;
 }
 
-/// HMPI_EST_COMPILE override (docs/estimator.md): pick the estimator backend
-/// without rebuilding, for A/B runs. Unknown values are ignored (the config
-/// value stands) — every mode is bit-identical, so a typo is harmless.
-EstimatorMode estimator_mode_with_env(EstimatorMode mode) {
-  if (const char* value = std::getenv("HMPI_EST_COMPILE")) {
-    const std::string v(value);
-    if (v == "0" || v == "off" || v == "interpret") {
-      return EstimatorMode::kInterpret;
-    }
-    if (v == "1" || v == "full" || v == "compile" || v == "compiled") {
-      return EstimatorMode::kCompiled;
-    }
-    if (v == "2" || v == "delta") return EstimatorMode::kDelta;
-  }
-  return mode;
-}
-
 /// HMPI_EST_SHARDS override (docs/estimator.md): shard count of the shared
 /// estimate cache. Values are purely a contention knob — every count returns
 /// bit-identical results — so malformed or non-positive input is ignored.
@@ -228,7 +211,6 @@ Runtime::Runtime(mp::Proc& proc, RuntimeConfig config)
                    "search_threads must be at least 1");
   config_.telemetry = config_.telemetry.with_env_overrides();
   config_.coll = coll_config_with_env(config_.coll);
-  config_.estimator = estimator_mode_with_env(config_.estimator);
   config_.est_shards = std::max(1, est_shards_with_env(config_.est_shards));
   config_.adapt = config_.adapt.with_env();
   if (config_.adapt.enabled) {
@@ -259,10 +241,11 @@ Runtime::Runtime(mp::Proc& proc, RuntimeConfig config)
       return raw->network->version();
     });
     proc.world().set_coll_selector(s->coll_tuner);
-    // Wake rendezvous waiters on any death so they can fail fast instead of
-    // staying parked until the engine diagnoses a stall. (The Shared outlives
-    // every simulated process: the World holds it until the run ends.)
-    proc.world().on_death([raw = s.get()](int, double) {
+    // Wake rendezvous waiters on any death or abort so they can fail fast
+    // instead of staying parked until the engine diagnoses a stall. (The
+    // Shared outlives every simulated process: the World holds it until the
+    // run ends.)
+    proc.world().on_wake([raw = s.get()] {
       { std::lock_guard<std::mutex> lock(raw->mutex); }
       raw->cv.notify_all();
     });
@@ -551,16 +534,12 @@ map::SearchContext Runtime::search_context() const {
   }
   context.pool = search_pool_.get();
   context.cache = config_.estimate_cache ? &shared_->estimate_cache : nullptr;
-  context.plans = config_.estimator != EstimatorMode::kInterpret
-                      ? &shared_->plan_cache
-                      : nullptr;
-  context.delta = config_.estimator == EstimatorMode::kDelta;
+  context.plans = &shared_->plan_cache;
   return context;
 }
 
 std::shared_ptr<const est::Plan> Runtime::prefetch_plan(
     const pmdl::ModelInstance& instance) const {
-  if (config_.estimator == EstimatorMode::kInterpret) return nullptr;
   bool compiled = false;
   double seconds = 0.0;
   std::shared_ptr<const est::Plan> plan =
@@ -587,15 +566,6 @@ std::shared_ptr<const est::Plan> Runtime::prefetch_plan(
   return plan;
 }
 
-double Runtime::estimate_mapping(const est::Plan* plan,
-                                 const pmdl::ModelInstance& instance,
-                                 std::span<const int> mapping,
-                                 const hnoc::NetworkModel& network) const {
-  return plan != nullptr
-             ? plan->evaluate(mapping, network, config_.estimate)
-             : est::estimate_time(instance, mapping, network, config_.estimate);
-}
-
 void Runtime::note_search(const map::SearchStats& stats) const {
   last_search_stats_ = stats;
   search_totals_.add_counters(stats);
@@ -610,22 +580,9 @@ void Runtime::note_search(const map::SearchStats& stats) const {
     reg.counter("est.compile.evaluations")
         .add(static_cast<double>(stats.compiled_evaluations));
   }
-  if (stats.delta_evaluations > 0) {
-    reg.counter("est.delta.evaluations")
-        .add(static_cast<double>(stats.delta_evaluations));
-  }
-  if (stats.delta_ops_total > 0) {
-    reg.counter("est.delta.ops_replayed")
-        .add(static_cast<double>(stats.delta_ops_replayed));
-    reg.counter("est.delta.ops_total")
-        .add(static_cast<double>(stats.delta_ops_total));
-    reg.gauge("est.delta.savings")
-        .set(1.0 - static_cast<double>(stats.delta_ops_replayed) /
-                       static_cast<double>(stats.delta_ops_total));
-  }
   // Namespaced twins of the legacy cache counters (docs/observability.md):
   // est.cache.* keeps the estimator's counters in one namespace alongside
-  // est.compile.* / est.delta.* / est.batch.*.
+  // est.compile.* / est.batch.*.
   if (stats.cache_hits > 0 || stats.cache_misses > 0) {
     reg.counter("est.cache.hits").add(static_cast<double>(stats.cache_hits));
     reg.counter("est.cache.misses")
@@ -737,13 +694,9 @@ std::vector<double> Runtime::timeof_batch(
 
 Runtime::EstimatorStats Runtime::estimator_stats() const {
   EstimatorStats stats;
-  stats.mode = config_.estimator;
   stats.plans_compiled = shared_->plan_cache.misses();
   stats.plan_cache_hits = shared_->plan_cache.hits();
   stats.compiled_evaluations = search_totals_.compiled_evaluations;
-  stats.delta_evaluations = search_totals_.delta_evaluations;
-  stats.delta_ops_replayed = search_totals_.delta_ops_replayed;
-  stats.delta_ops_total = search_totals_.delta_ops_total;
   return stats;
 }
 
@@ -942,7 +895,7 @@ std::optional<Group> Runtime::group_create_impl(
           members[static_cast<std::size_t>(instance.parent_index())] ==
               parent_world,
           "forced roster must keep the parent on the model's parent slot");
-      estimated = estimate_mapping(plan.get(), instance, mapping, snapshot);
+      estimated = plan->evaluate(mapping, snapshot, config_.estimate);
       ideal = estimated;
     } else {
     // Suspect processors stay in the rendezvous (they are alive and must
@@ -1513,8 +1466,7 @@ Runtime::AdaptOutcome Runtime::adapt_migrate(
     for (std::size_t a = 0; a < old_members.size(); ++a) {
       old_mapping[a] = world.processor_of(old_members[a]);
     }
-    verdict.old_pred =
-        estimate_mapping(plan.get(), instance, old_mapping, snapshot);
+    verdict.old_pred = plan->evaluate(old_mapping, snapshot, config_.estimate);
     if (options.force_roster != nullptr) {
       // Test hook: pin the target and skip the gate — the rollback guard
       // downstream still judges the result.
@@ -1525,8 +1477,7 @@ Runtime::AdaptOutcome Runtime::adapt_migrate(
       for (std::size_t a = 0; a < proposed.size(); ++a) {
         mapping[a] = world.processor_of(proposed[a]);
       }
-      verdict.new_pred =
-          estimate_mapping(plan.get(), instance, mapping, snapshot);
+      verdict.new_pred = plan->evaluate(mapping, snapshot, config_.estimate);
       verdict.migrate = 1;
     } else {
       // Candidates: the current members plus every live, unsuspected,

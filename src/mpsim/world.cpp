@@ -169,11 +169,9 @@ void World::mark_dead(int world_rank, double t) {
                    "world rank out of range");
   if (!alive_[static_cast<std::size_t>(world_rank)].exchange(false)) return;
   failed_count_.fetch_add(1);
-  std::vector<std::function<void(int, double)>> callbacks;
   {
     std::lock_guard<std::mutex> lock(fault_mutex_);
     death_times_.emplace(world_rank, t);
-    callbacks = death_callbacks_;
   }
   if (Tracer* tracer = options_.tracer) {
     TraceEvent event;
@@ -197,14 +195,23 @@ void World::mark_dead(int world_rank, double t) {
     causal_->record(world_rank, e);
   }
   // Wake every blocked receiver so hopeless-predicates re-evaluate, then the
-  // registered higher-layer watchers (e.g. the HMPI rendezvous queue).
+  // registered higher-layer waiters (e.g. the HMPI rendezvous queue).
   for (auto& mb : mailboxes_) mb->poke();
-  for (const auto& cb : callbacks) cb(world_rank, t);
+  notify_wake_listeners();
 }
 
-void World::on_death(std::function<void(int, double)> callback) {
+void World::on_wake(std::function<void()> listener) {
   std::lock_guard<std::mutex> lock(fault_mutex_);
-  death_callbacks_.push_back(std::move(callback));
+  wake_listeners_.push_back(std::move(listener));
+}
+
+void World::notify_wake_listeners() {
+  std::vector<std::function<void()>> listeners;
+  {
+    std::lock_guard<std::mutex> lock(fault_mutex_);
+    listeners = wake_listeners_;
+  }
+  for (const auto& listener : listeners) listener();
 }
 
 void World::revoke_context(int context) {
@@ -278,6 +285,7 @@ std::shared_ptr<void> World::get_or_create_shared(
 void World::abort_all() {
   aborted_.store(true);
   for (auto& mb : mailboxes_) mb->shutdown();
+  notify_wake_listeners();
 }
 
 World::RunResult World::run(const hnoc::Cluster& cluster,

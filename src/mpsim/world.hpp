@@ -265,15 +265,18 @@ class World {
   bool any_failed() const noexcept { return failed_count_.load() > 0; }
 
   /// Kills `world_rank` at virtual time `t`: flips liveness, records a crash
-  /// trace event, wakes every blocked receiver and death watcher. Called by
+  /// trace event, wakes every blocked receiver and wake listener. Called by
   /// the dying process itself at a fault point; idempotent.
   void mark_dead(int world_rank, double t);
 
-  /// Registers a callback invoked (once per death, from the dying thread)
-  /// after liveness flips — used by higher layers to wake their own waiters.
-  /// Callbacks must be registered before processes start communicating and
-  /// must not throw.
-  void on_death(std::function<void(int world_rank, double t)> callback);
+  /// Registers a listener invoked after every event that can unblock a
+  /// higher layer's own waiters: a death (once per death, from the dying
+  /// process, after liveness flips) and the abort that follows a process
+  /// error (from the failing process, after aborted() turns true). Used to
+  /// wake waiters so they re-check alive()/aborted() instead of staying
+  /// parked until the engine diagnoses a stall. Listeners must be registered
+  /// before processes start communicating and must not throw.
+  void on_wake(std::function<void()> listener);
 
   // --- context revocation (failure propagation) -----------------------------
 
@@ -327,6 +330,7 @@ class World {
         Options options);
 
   void abort_all();
+  void notify_wake_listeners();
 
   const hnoc::Cluster* cluster_;
   std::vector<int> placement_;
@@ -347,7 +351,7 @@ class World {
   mutable std::mutex fault_mutex_;
   std::map<int, double> death_times_;
   std::set<int> revoked_contexts_;
-  std::vector<std::function<void(int, double)>> death_callbacks_;
+  std::vector<std::function<void()>> wake_listeners_;
 
   struct PendingRecv {
     int src = kAnySource;

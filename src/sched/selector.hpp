@@ -1,12 +1,12 @@
 // Group selection against residual capacity.
 //
-// The Selector is the bridge between the scheduler and the PR 2/5 selection
+// The Selector is the bridge between the scheduler and the selection
 // machinery: it turns the ledger's free slots into a mapper Candidate list
 // (one candidate per free slot, so a machine with two free slots can host
 // two abstract processors), picks the parent candidate, and calls the
 // configured map::Mapper verbatim against the residual-priced overlay. The
-// mapper/estimator pipeline — estimate cache, plan cache, delta replay —
-// is reused unchanged; residual pricing is entirely the overlay's job.
+// mapper/estimator pipeline — estimate cache, plan cache — is reused
+// unchanged; residual pricing is entirely the overlay's job.
 #pragma once
 
 #include <memory>

@@ -18,6 +18,7 @@
 #include "estimator/fingerprint.hpp"
 #include "estimator/plan.hpp"
 #include "hnoc/cluster.hpp"
+#include "oracle/timeline_oracle.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 
@@ -119,7 +120,7 @@ void expect_batch_matches_singles(const ModelInstance& instance,
     const double single = plan.evaluate(rows[i], net, options);
     EXPECT_EQ(single, batched[i]) << "mapping " << i;  // exact bits
     // And both must equal the interpreter (the plan contract).
-    EXPECT_EQ(estimate_time(instance, rows[i], net, options), batched[i]);
+    EXPECT_EQ(oracle::estimate_time(instance, rows[i], net, options), batched[i]);
   }
 }
 
@@ -230,7 +231,7 @@ void expect_single_matches_interpreter_and_batch(
   plan.evaluate_batch(soa, count, net, options, batched);
   for (std::size_t i = 0; i < count; ++i) {
     const double single = plan.evaluate(rows[i], net, options);
-    EXPECT_EQ(single, estimate_time(instance, rows[i], net, options))
+    EXPECT_EQ(single, oracle::estimate_time(instance, rows[i], net, options))
         << "mapping " << i;  // exact bits
     EXPECT_EQ(single, batched[i]) << "mapping " << i;
   }
@@ -272,7 +273,7 @@ TEST(PlanEvaluate, RejectsBadMappingsLikeTheInterpreter) {
       invalid_argument_of([&] { (void)plan.evaluate(too_short, net); });
   EXPECT_NE(short_error, "");
   EXPECT_EQ(short_error, invalid_argument_of([&] {
-              (void)estimate_time(instance, too_short, net);
+              (void)oracle::estimate_time(instance, too_short, net);
             }));
   std::vector<int> out_of_range(9, 0);
   out_of_range[4] = 1000;
@@ -280,7 +281,7 @@ TEST(PlanEvaluate, RejectsBadMappingsLikeTheInterpreter) {
       invalid_argument_of([&] { (void)plan.evaluate(out_of_range, net); });
   EXPECT_NE(range_error, "");
   EXPECT_EQ(range_error, invalid_argument_of([&] {
-              (void)estimate_time(instance, out_of_range, net);
+              (void)oracle::estimate_time(instance, out_of_range, net);
             }));
   out_of_range[4] = -1;
   EXPECT_THROW((void)plan.evaluate(out_of_range, net), hmpi::InvalidArgument);
@@ -300,7 +301,7 @@ TEST(PlanEvaluate, ConcurrentCallersOnOneSharedPlanAgree) {
   }
   std::vector<double> expected;
   for (const auto& row : rows) {
-    expected.push_back(estimate_time(instance, row, net));
+    expected.push_back(oracle::estimate_time(instance, row, net));
   }
 
   // Each thread walks every mapping from its own offset, so calls on the
@@ -340,17 +341,19 @@ TEST(EstimateCacheShards, AnyShardCountReturnsIdenticalValues) {
     mappings.push_back(std::move(mapping));
   }
 
+  const Plan plan(instance);
+  const std::uint64_t fp = estimate_fingerprint(instance, options);
   EstimateCache reference(1);
   std::vector<double> expected;
   for (const auto& mapping : mappings) {
-    expected.push_back(reference.estimate(instance, mapping, net, options));
+    expected.push_back(reference.estimate(fp, plan, mapping, net, options));
   }
   for (std::size_t shards : {std::size_t{0}, std::size_t{3},
                              std::size_t{64}}) {
     EstimateCache cache(shards);
     EXPECT_GE(cache.shard_count(), 1u);  // 0 clamps to 1
     for (std::size_t i = 0; i < mappings.size(); ++i) {
-      EXPECT_EQ(cache.estimate(instance, mappings[i], net, options),
+      EXPECT_EQ(cache.estimate(fp, plan, mappings[i], net, options),
                 expected[i]);
     }
   }
@@ -366,10 +369,9 @@ TEST(EstimateCacheShards, BatchProbesMatchSingleKeyCalls) {
   constexpr std::size_t kWidth = 4, kCount = 24;
 
   // Row-major batch of distinct mappings (base-9 digits of the row index,
-  // so no two rows share a cache key); even rows are pre-inserted via the
-  // single-key path.
+  // so no two rows share a cache key); even rows are priced first through
+  // the single-key path.
   std::vector<int> rows(kWidth * kCount);
-  std::vector<double> values(kCount);
   for (std::size_t i = 0; i < kCount; ++i) {
     std::size_t digits = i;
     for (std::size_t a = 0; a < kWidth; ++a) {
@@ -377,15 +379,19 @@ TEST(EstimateCacheShards, BatchProbesMatchSingleKeyCalls) {
       digits /= 9;
     }
   }
+  const auto row = [&](std::size_t i) {
+    return std::span<const int>(rows).subspan(i * kWidth, kWidth);
+  };
+  const Plan plan(instance);
+  std::vector<double> values(kCount);
   for (std::size_t i = 0; i < kCount; ++i) {
-    values[i] = 1.0 + static_cast<double>(i);
+    values[i] = plan.evaluate(row(i), net, options);
   }
 
   for (std::size_t shards : {std::size_t{1}, std::size_t{5}}) {
     EstimateCache cache(shards);
     for (std::size_t i = 0; i < kCount; i += 2) {
-      cache.insert(fp, std::span<const int>(rows).subspan(i * kWidth, kWidth),
-                   net, values[i]);
+      cache.estimate(fp, plan, row(i), net, options);
     }
     std::vector<double> out(kCount, -1.0);
     std::vector<char> found(kCount, 0);
@@ -393,7 +399,8 @@ TEST(EstimateCacheShards, BatchProbesMatchSingleKeyCalls) {
         cache.lookup_batch(fp, rows, kWidth, net, out, found);
     EXPECT_EQ(hits, kCount / 2);
     EXPECT_EQ(cache.hits(), static_cast<long long>(kCount / 2));
-    EXPECT_EQ(cache.misses(), static_cast<long long>(kCount - kCount / 2));
+    // The single-key misses above plus the batch misses.
+    EXPECT_EQ(cache.misses(), static_cast<long long>(kCount));
     for (std::size_t i = 0; i < kCount; ++i) {
       EXPECT_EQ(found[i], i % 2 == 0 ? 1 : 0) << "row " << i;
       if (i % 2 == 0) {
@@ -402,14 +409,13 @@ TEST(EstimateCacheShards, BatchProbesMatchSingleKeyCalls) {
     }
 
     // insert_batch with the found mask fills exactly the misses; every key
-    // must then answer through the single-key lookup.
+    // must then hit through the single-key path with the identical bits.
     cache.insert_batch(fp, rows, kWidth, net, values, found);
     for (std::size_t i = 0; i < kCount; ++i) {
-      double got = -1.0;
-      EXPECT_TRUE(cache.lookup(
-          fp, std::span<const int>(rows).subspan(i * kWidth, kWidth), net,
-          &got));
-      EXPECT_EQ(got, values[i]);
+      bool hit = false;
+      EXPECT_EQ(cache.estimate(fp, plan, row(i), net, options, &hit),
+                values[i]);
+      EXPECT_TRUE(hit) << "row " << i;
     }
   }
 }
@@ -432,12 +438,12 @@ TEST(EstimateCacheShards, BatchInsertSkipsMaskedRows) {
   EstimateCache cache(4);
   cache.insert_batch(0x11, rows, kWidth, net, values, skip);
   EXPECT_EQ(cache.size(), kCount - 2);
+  std::vector<double> out(kCount, 0.0);
+  std::vector<char> found(kCount, 0);
+  EXPECT_EQ(cache.lookup_batch(0x11, rows, kWidth, net, out, found),
+            kCount - 2);
   for (std::size_t i = 0; i < kCount; ++i) {
-    double got = 0.0;
-    const bool hit = cache.lookup(
-        0x11, std::span<const int>(rows).subspan(i * kWidth, kWidth), net,
-        &got);
-    EXPECT_EQ(hit, skip[i] == 0) << "row " << i;
+    EXPECT_EQ(found[i] != 0, skip[i] == 0) << "row " << i;
   }
 }
 

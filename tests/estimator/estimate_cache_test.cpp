@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <thread>
 #include <vector>
 
+#include "estimator/fingerprint.hpp"
+#include "estimator/plan.hpp"
 #include "hnoc/cluster.hpp"
+#include "oracle/timeline_oracle.hpp"
 #include "sched/capacity.hpp"
 #include "support/rng.hpp"
 
@@ -41,6 +45,16 @@ ModelInstance ring_model(int p) {
   return b.build();
 }
 
+/// EstimateCache::estimate with the fingerprint and plan a search hoists out
+/// of its loop, resolved per call here.
+double estimate_cached(EstimateCache& cache, const ModelInstance& inst,
+                       std::span<const int> mapping,
+                       const hnoc::NetworkModel& net, EstimateOptions options,
+                       bool* hit = nullptr) {
+  return cache.estimate(estimate_fingerprint(inst, options), Plan(inst),
+                        mapping, net, options, hit);
+}
+
 TEST(EstimateCache, AgreesBitForBitWithUncachedOnRandomMappings) {
   hnoc::Cluster cluster = hnoc::testbeds::paper_em3d_network();
   hnoc::NetworkModel net(cluster);
@@ -52,12 +66,12 @@ TEST(EstimateCache, AgreesBitForBitWithUncachedOnRandomMappings) {
     for (int& p : mapping) {
       p = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(net.size())));
     }
-    const double plain = estimate_time(inst, mapping, net, EstimateOptions{});
-    const double cached = cache.estimate(inst, mapping, net, EstimateOptions{});
+    const double plain = oracle::estimate_time(inst, mapping, net, EstimateOptions{});
+    const double cached = estimate_cached(cache, inst, mapping, net, EstimateOptions{});
     EXPECT_EQ(plain, cached);  // exact, not approximate
     // A second lookup must hit and return the identical bits.
     bool hit = false;
-    EXPECT_EQ(cache.estimate(inst, mapping, net, EstimateOptions{}, &hit), plain);
+    EXPECT_EQ(estimate_cached(cache, inst, mapping, net, EstimateOptions{}, &hit), plain);
     EXPECT_TRUE(hit);
   }
   EXPECT_GT(cache.hits(), 0);
@@ -71,9 +85,9 @@ TEST(EstimateCache, RepeatLookupsHit) {
   EstimateCache cache;
   const std::vector<int> mapping{0, 1, 2};
   bool hit = true;
-  cache.estimate(inst, mapping, net, EstimateOptions{}, &hit);
+  estimate_cached(cache, inst, mapping, net, EstimateOptions{}, &hit);
   EXPECT_FALSE(hit);
-  cache.estimate(inst, mapping, net, EstimateOptions{}, &hit);
+  estimate_cached(cache, inst, mapping, net, EstimateOptions{}, &hit);
   EXPECT_TRUE(hit);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.hits(), 1);
@@ -86,13 +100,13 @@ TEST(EstimateCache, SetSpeedInvalidatesThroughTheVersionCounter) {
   ModelInstance inst = ring_model(3);
   EstimateCache cache;
   const std::vector<int> mapping{0, 1, 2};
-  const double before = cache.estimate(inst, mapping, net, EstimateOptions{});
+  const double before = estimate_cached(cache, inst, mapping, net, EstimateOptions{});
 
   net.set_speed(1, 5.0);  // recon: processor 1 is 10x slower than believed
   bool hit = true;
-  const double after = cache.estimate(inst, mapping, net, EstimateOptions{}, &hit);
+  const double after = estimate_cached(cache, inst, mapping, net, EstimateOptions{}, &hit);
   EXPECT_FALSE(hit);  // the old entry is unreachable, not served stale
-  EXPECT_EQ(after, estimate_time(inst, mapping, net, EstimateOptions{}));
+  EXPECT_EQ(after, oracle::estimate_time(inst, mapping, net, EstimateOptions{}));
   EXPECT_NE(before, after);
 }
 
@@ -104,18 +118,18 @@ TEST(EstimateCache, SnapshotCopiesShareTheVersion) {
   ModelInstance inst = ring_model(3);
   EstimateCache cache;
   const std::vector<int> mapping{0, 1, 2};
-  cache.estimate(inst, mapping, net, EstimateOptions{});
+  estimate_cached(cache, inst, mapping, net, EstimateOptions{});
 
   hnoc::NetworkModel snapshot = net;
   EXPECT_EQ(snapshot.version(), net.version());
   bool hit = false;
-  cache.estimate(inst, mapping, snapshot, EstimateOptions{}, &hit);
+  estimate_cached(cache, inst, mapping, snapshot, EstimateOptions{}, &hit);
   EXPECT_TRUE(hit);
 
   // Mutating the snapshot diverges it from every other model.
   snapshot.set_speed(0, 123.0);
   EXPECT_NE(snapshot.version(), net.version());
-  cache.estimate(inst, mapping, snapshot, EstimateOptions{}, &hit);
+  estimate_cached(cache, inst, mapping, snapshot, EstimateOptions{}, &hit);
   EXPECT_FALSE(hit);
 }
 
@@ -128,17 +142,17 @@ TEST(EstimateCache, DistinguishesInstancesAndOptions) {
   const std::vector<int> map3{0, 1, 2};
   const std::vector<int> map4{0, 1, 2, 3};
 
-  EXPECT_EQ(cache.estimate(a, map3, net, EstimateOptions{}),
-            estimate_time(a, map3, net, EstimateOptions{}));
-  EXPECT_EQ(cache.estimate(b, map4, net, EstimateOptions{}),
-            estimate_time(b, map4, net, EstimateOptions{}));
+  EXPECT_EQ(estimate_cached(cache, a, map3, net, EstimateOptions{}),
+            oracle::estimate_time(a, map3, net, EstimateOptions{}));
+  EXPECT_EQ(estimate_cached(cache, b, map4, net, EstimateOptions{}),
+            oracle::estimate_time(b, map4, net, EstimateOptions{}));
 
   EstimateOptions heavy;
   heavy.send_overhead_s = 1.0;
   heavy.recv_overhead_s = 2.0;
   bool hit = true;
-  EXPECT_EQ(cache.estimate(a, map3, net, heavy, &hit),
-            estimate_time(a, map3, net, heavy));
+  EXPECT_EQ(estimate_cached(cache, a, map3, net, heavy, &hit),
+            oracle::estimate_time(a, map3, net, heavy));
   EXPECT_FALSE(hit);  // different options, different entry
   EXPECT_EQ(cache.size(), 3u);
 }
@@ -149,14 +163,14 @@ TEST(EstimateCache, ClearDropsEntriesButKeepsCounters) {
   ModelInstance inst = ring_model(3);
   EstimateCache cache;
   const std::vector<int> mapping{0, 1, 2};
-  cache.estimate(inst, mapping, net, EstimateOptions{});
-  cache.estimate(inst, mapping, net, EstimateOptions{});
+  estimate_cached(cache, inst, mapping, net, EstimateOptions{});
+  estimate_cached(cache, inst, mapping, net, EstimateOptions{});
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.hits(), 1);
   EXPECT_EQ(cache.misses(), 1);
   bool hit = true;
-  cache.estimate(inst, mapping, net, EstimateOptions{}, &hit);
+  estimate_cached(cache, inst, mapping, net, EstimateOptions{}, &hit);
   EXPECT_FALSE(hit);
 }
 
@@ -181,12 +195,12 @@ TEST(EstimateCache, NeverStaleAcrossSchedulerLeaseReleaseCycles) {
     // cache must agree bit for bit, and a repeat lookup must hit with the
     // identical bits.
     const double plain =
-        estimate_time(inst, mapping, ledger.overlay(), EstimateOptions{});
-    EXPECT_EQ(cache.estimate(inst, mapping, ledger.overlay(), EstimateOptions{}),
+        oracle::estimate_time(inst, mapping, ledger.overlay(), EstimateOptions{});
+    EXPECT_EQ(estimate_cached(cache, inst, mapping, ledger.overlay(), EstimateOptions{}),
               plain);
     bool hit = false;
     EXPECT_EQ(
-        cache.estimate(inst, mapping, ledger.overlay(), EstimateOptions{}, &hit),
+        estimate_cached(cache, inst, mapping, ledger.overlay(), EstimateOptions{}, &hit),
         plain);
     EXPECT_TRUE(hit);
     return plain;
@@ -205,7 +219,7 @@ TEST(EstimateCache, NeverStaleAcrossSchedulerLeaseReleaseCycles) {
   // this is a miss that reproduces the idle estimate exactly.
   bool hit = true;
   EXPECT_EQ(
-      cache.estimate(inst, mapping, ledger.overlay(), EstimateOptions{}, &hit),
+      estimate_cached(cache, inst, mapping, ledger.overlay(), EstimateOptions{}, &hit),
       idle);
   EXPECT_FALSE(hit);
   ledger.refresh_base({100.0, 50.0, 100.0, 100.0});
@@ -227,7 +241,7 @@ TEST(EstimateCache, ConcurrentLookupsAreConsistent) {
     for (int& p : mapping) {
       p = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(net.size())));
     }
-    expected.push_back(estimate_time(inst, mapping, net, EstimateOptions{}));
+    expected.push_back(oracle::estimate_time(inst, mapping, net, EstimateOptions{}));
     mappings.push_back(std::move(mapping));
   }
 
@@ -237,7 +251,7 @@ TEST(EstimateCache, ConcurrentLookupsAreConsistent) {
       for (int round = 0; round < 10; ++round) {
         for (std::size_t i = 0; i < mappings.size(); ++i) {
           const double got =
-              cache.estimate(inst, mappings[i], net, EstimateOptions{});
+              estimate_cached(cache, inst, mappings[i], net, EstimateOptions{});
           EXPECT_EQ(got, expected[i]);
         }
       }

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+
+#include "estimator/plan.hpp"
 #include "hnoc/cluster.hpp"
+#include "oracle/timeline_oracle.hpp"
 #include "support/error.hpp"
 
 namespace hmpi::est {
@@ -17,6 +21,16 @@ EstimateOptions exact() {
   o.send_overhead_s = 0.0;
   o.recv_overhead_s = 0.0;
   return o;
+}
+
+/// The library's estimate (a compiled est::Plan), checked bit for bit
+/// against the interpreter oracle on every call.
+double estimate_time(const ModelInstance& inst, std::span<const int> mapping,
+                     const hnoc::NetworkModel& net,
+                     EstimateOptions options = EstimateOptions()) {
+  const double compiled = Plan(inst).evaluate(mapping, net, options);
+  EXPECT_EQ(compiled, oracle::estimate_time(inst, mapping, net, options));
+  return compiled;
 }
 
 /// Two machines: fast (100 u/s) and slow (10 u/s), 1 ms + 1 MB/s network.

@@ -10,7 +10,7 @@
 
 #include <vector>
 
-#include "estimator/estimator.hpp"
+#include "estimator/plan.hpp"
 #include "hnoc/cluster.hpp"
 #include "mpsim/comm.hpp"
 #include "support/rng.hpp"
@@ -135,9 +135,9 @@ TEST_P(FidelityP, EstimateEqualsSimulatedMakespan) {
   const ModelInstance instance = instance_for(schedule);
   mp::World::Options options;  // default overheads, matching the estimator
   const double predicted =
-      estimate_time(instance, mapping, net,
-                    EstimateOptions{options.send_overhead_s,
-                                    options.recv_overhead_s});
+      Plan(instance).evaluate(mapping, net,
+                              EstimateOptions{options.send_overhead_s,
+                                              options.recv_overhead_s});
 
   // Execute the same schedule for real: one process per abstract processor.
   auto result = mp::World::run_one_per_processor(

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "hnoc/cluster.hpp"
+#include "oracle/timeline_oracle.hpp"
 
 namespace hmpi {
 namespace {
@@ -190,7 +191,7 @@ TEST(Runtime, HeadlineInvariantFasterThanEveryOtherGroup) {
             mapping[2] = b;
             mapping[3] = c;
             best_alternative = std::min(
-                best_alternative, est::estimate_time(instance, mapping, net));
+                best_alternative, est::oracle::estimate_time(instance, mapping, net));
           }
       EXPECT_LE(group->estimated_time(), best_alternative + 1e-12);
     }

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "hnoc/cluster.hpp"
+#include "oracle/timeline_oracle.hpp"
 #include "support/error.hpp"
 
 namespace hmpi::map {
@@ -120,7 +121,7 @@ TEST_P(MapperContract, ReportedTimeMatchesEstimator) {
     procs.push_back(candidates[static_cast<std::size_t>(c)].processor);
   }
   EXPECT_DOUBLE_EQ(result.estimated_time,
-                   est::estimate_time(inst, procs, net, exact()));
+                   est::oracle::estimate_time(inst, procs, net, exact()));
 }
 
 INSTANTIATE_TEST_SUITE_P(All, MapperContract,

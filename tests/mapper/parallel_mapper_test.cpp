@@ -14,6 +14,7 @@
 
 #include "estimator/estimate_cache.hpp"
 #include "hnoc/cluster.hpp"
+#include "oracle/timeline_oracle.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
@@ -291,41 +292,96 @@ TEST(ParallelMapper, HillClimbersMatchSerialUnderCacheAndPool) {
   }
 }
 
+/// The interpreter oracle's price of `result`'s selection.
+double oracle_price(const Scenario& s, const std::vector<Candidate>& candidates,
+                    const MappingResult& result) {
+  std::vector<int> procs;
+  for (int c : result.candidate_for_abstract) {
+    procs.push_back(candidates[static_cast<std::size_t>(c)].processor);
+  }
+  return est::oracle::estimate_time(s.instance, procs, s.network, s.options);
+}
+
+TEST(EstimateRoute, PrivateAndSharedPlansAgreeWithOracle) {
+  // The one estimate route (docs/estimator.md): a search given no plan cache
+  // compiles a private est::Plan; one given a shared PlanCache (plus an
+  // estimate cache and a pool) prices on the cached plan. Over random models
+  // every mapper must return the same selection bit for bit on both, and
+  // the reported estimate must be the interpreter oracle's price of it.
+  std::vector<std::unique_ptr<const Mapper>> mappers;
+  mappers.push_back(std::make_unique<ExhaustiveMapper>());
+  mappers.push_back(std::make_unique<GreedyMapper>());
+  mappers.push_back(std::make_unique<SwapRefineMapper>());
+  mappers.push_back(std::make_unique<AnnealingMapper>());
+  mappers.push_back(std::make_unique<BeamMapper>());
+  mappers.push_back(std::make_unique<WorkStealingAnnealingMapper>());
+  mappers.push_back(std::make_unique<PortfolioMapper>());
+  support::Rng rng(2026'08'07);
+  for (int trial = 0; trial < 5; ++trial) {
+    Scenario s(rng);
+    const auto candidates = s.candidates();
+    for (const auto& mapper : mappers) {
+      SCOPED_TRACE(mapper->name());
+      const MappingResult private_plan = mapper->select(
+          s.instance, candidates, 0, s.network, s.options, SearchContext{});
+      EXPECT_EQ(private_plan.estimated_time,
+                oracle_price(s, candidates, private_plan));
+      EXPECT_EQ(private_plan.stats.compiled_evaluations,
+                private_plan.stats.evaluations);
+      for (int threads : {1, 8}) {
+        support::ThreadPool pool(threads);
+        est::EstimateCache cache;
+        est::PlanCache plans;
+        const MappingResult shared =
+            mapper->select(s.instance, candidates, 0, s.network, s.options,
+                           SearchContext{&pool, &cache, &plans});
+        expect_bit_identical(private_plan, shared, "shared plan cache");
+        EXPECT_EQ(plans.size(), 1u);
+        // Every evaluation does exactly one cache lookup.
+        EXPECT_EQ(shared.stats.cache_hits + shared.stats.cache_misses,
+                  shared.stats.evaluations);
+      }
+    }
+  }
+}
+
+// The CompiledScoring suite keeps its historical names; since the compiled
+// Plan is the only estimate route, each test now pins that route against
+// the interpreter oracle instead of against a second backend.
+
 TEST(CompiledScoring, SelectionsBitIdenticalAcrossEstimatorModes) {
-  // The tentpole guarantee of the compiled cost IR (estimator/plan.hpp):
-  // interpreter, compiled, and compiled+delta scoring — cached or not, any
-  // thread count — produce bit-identical selections.
+  // Compiled scoring — private plan or shared PlanCache, cached or not, any
+  // thread count — produces one selection, priced exactly as the oracle.
   support::Rng rng(2026'08'07);
   for (int trial = 0; trial < 5; ++trial) {
     Scenario s(rng);
     auto candidates = s.candidates();
     PortfolioMapper mapper;
-    const MappingResult interpreted =
+    const MappingResult private_plan =
         mapper.select(s.instance, candidates, 0, s.network, s.options);
-    for (const bool delta : {false, true}) {
-      for (const bool cached : {false, true}) {
-        for (int threads : {1, 2, 8}) {
-          support::ThreadPool pool(threads);
-          est::EstimateCache cache;
-          est::PlanCache plans;
-          SearchContext context;
-          context.pool = &pool;
-          context.cache = cached ? &cache : nullptr;
-          context.plans = &plans;
-          context.delta = delta;
-          const MappingResult compiled = mapper.select(
-              s.instance, candidates, 0, s.network, s.options, context);
-          expect_bit_identical(interpreted, compiled,
-                               delta ? "compiled+delta" : "compiled");
-          EXPECT_GT(compiled.stats.compiled_evaluations, 0);
-          if (delta) {
-            EXPECT_GT(compiled.stats.delta_evaluations, 0);
-          }
-          if (cached) {
-            // Every evaluation does exactly one cache lookup on every route.
-            EXPECT_EQ(compiled.stats.cache_hits + compiled.stats.cache_misses,
-                      compiled.stats.evaluations);
-          }
+    EXPECT_EQ(private_plan.estimated_time,
+              oracle_price(s, candidates, private_plan));
+    for (const bool cached : {false, true}) {
+      for (int threads : {1, 2, 8}) {
+        support::ThreadPool pool(threads);
+        est::EstimateCache cache;
+        est::PlanCache plans;
+        SearchContext context;
+        context.pool = &pool;
+        context.cache = cached ? &cache : nullptr;
+        context.plans = &plans;
+        const MappingResult compiled = mapper.select(
+            s.instance, candidates, 0, s.network, s.options, context);
+        expect_bit_identical(private_plan, compiled,
+                             cached ? "compiled+cache" : "compiled");
+        EXPECT_GT(compiled.stats.compiled_evaluations, 0);
+        if (cached) {
+          // Every evaluation does exactly one cache lookup on every route.
+          EXPECT_EQ(compiled.stats.cache_hits + compiled.stats.cache_misses,
+                    compiled.stats.evaluations);
+        } else {
+          EXPECT_EQ(compiled.stats.compiled_evaluations,
+                    compiled.stats.evaluations);
         }
       }
     }
@@ -333,6 +389,9 @@ TEST(CompiledScoring, SelectionsBitIdenticalAcrossEstimatorModes) {
 }
 
 TEST(CompiledScoring, HillClimbersMatchInterpreterWithDelta) {
+  // Swap-refine, annealing and exhaustive search score every proposal with
+  // a full compiled evaluation; the result must match the private-plan
+  // search bit for bit and carry the oracle's price of its selection.
   support::Rng rng(31);
   for (int trial = 0; trial < 4; ++trial) {
     Scenario s(rng);
@@ -347,20 +406,21 @@ TEST(CompiledScoring, HillClimbersMatchInterpreterWithDelta) {
       est::PlanCache plans;
       SearchContext context;
       context.plans = &plans;
-      context.delta = true;
       const auto fast = owned->select(s.instance, candidates, 0, s.network,
                                       s.options, context);
       expect_bit_identical(plain, fast, owned->name().c_str());
+      EXPECT_EQ(fast.estimated_time, oracle_price(s, candidates, fast));
+      EXPECT_EQ(fast.stats.compiled_evaluations, fast.stats.evaluations);
     }
   }
 }
 
 TEST(CompiledScoring, DeltaReplaysFewerOpsThanFullEvaluationWould) {
-  // Savings come from slots whose first op appears late in the stream (the
-  // replay starts at the earliest op touching a changed slot). A staggered
-  // pipeline — processor a enters only in phase a — gives every pairwise
-  // swap a genuine suffix; a model where every processor appears in the
-  // first few ops replays everything and saves nothing.
+  // A staggered pipeline — processor a enters only in phase a — is the
+  // shape where a suffix replay would have saved the most. On the single
+  // compiled route the plan is compiled once, every swap proposal is a
+  // full evaluation of that plan, and the selection carries the oracle's
+  // price.
   support::Rng rng(41);
   Scenario s(rng);
   const long long p = s.cluster.size();
@@ -387,14 +447,21 @@ TEST(CompiledScoring, DeltaReplaysFewerOpsThanFullEvaluationWould) {
   est::PlanCache plans;
   SearchContext context;
   context.plans = &plans;
-  context.delta = true;
   const auto result = SwapRefineMapper().select(instance, candidates, 0,
                                                 s.network, s.options, context);
-  EXPECT_GT(result.stats.delta_evaluations, 0);
-  EXPECT_GT(result.stats.delta_ops_total, 0);
-  // The savings the delta path exists for: strictly fewer IR ops executed
-  // than the same number of full evaluations would have cost.
-  EXPECT_LT(result.stats.delta_ops_replayed, result.stats.delta_ops_total);
+  EXPECT_EQ(plans.size(), 1u);
+  EXPECT_EQ(plans.misses(), 1);
+  EXPECT_GT(result.stats.evaluations, 1);
+  EXPECT_EQ(result.stats.compiled_evaluations, result.stats.evaluations);
+  std::vector<int> procs;
+  for (int c : result.candidate_for_abstract) {
+    procs.push_back(candidates[static_cast<std::size_t>(c)].processor);
+  }
+  EXPECT_EQ(result.estimated_time,
+            est::oracle::estimate_time(instance, procs, s.network, s.options));
+  const auto private_plan = SwapRefineMapper().select(
+      instance, candidates, 0, s.network, s.options, SearchContext{});
+  expect_bit_identical(private_plan, result, "pipeline");
 }
 
 /// Every (threads, cache, plans) combination must reproduce the

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "mpsim/comm.hpp"
 #include "pmdl/model.hpp"
 #include "support/error.hpp"
+#include "telemetry/metrics.hpp"
 
 #include "differential.hpp"
 
@@ -226,6 +228,44 @@ TEST(EngineDeadlock, StallVictimIsAPureFunctionOfTheSimulation) {
     }
   }
   EXPECT_NE(reference.find("world rank 0 "), std::string::npos) << reference;
+}
+
+TEST(EngineAbort, HostErrorWakesRendezvousWaitersWithoutAStall) {
+  // The host throws while the free processes are parked in the group-create
+  // rendezvous (each sends the host a message first, so the host knows they
+  // got there). The abort must wake them (each leaves with "world aborted"),
+  // so World::run rethrows the host's own error and the engine never has to
+  // pick a structural-stall victim.
+  hnoc::Cluster cluster = hnoc::testbeds::homogeneous(3, 100.0);
+  const pmdl::Model model = flat_model();
+  telemetry::Counter& stalls = telemetry::metrics().counter("sim.stalls");
+  for (int workers : {1, 2, 8}) {
+    World::Options options;
+    options.event_workers = workers;
+    const double stalls_before = stalls.value();
+    std::string message;
+    try {
+      World::run_one_per_processor(
+          cluster,
+          [&](Proc& p) {
+            hmpi::Runtime rt(p);
+            if (rt.is_host()) {
+              for (int r = 1; r < p.world_comm().size(); ++r) {
+                p.world_comm().recv_value<int>(r, 7);
+              }
+              throw std::runtime_error("host failed");
+            }
+            p.world_comm().send_value(1, 0, 7);
+            rt.group_create(model,
+                            {pmdl::array(std::vector<long long>(3, 10))});
+          },
+          options);
+    } catch (const std::exception& e) {
+      message = e.what();
+    }
+    EXPECT_EQ(message, "host failed") << "workers=" << workers;
+    EXPECT_EQ(stalls.value(), stalls_before) << "workers=" << workers;
+  }
 }
 
 TEST(EngineNesting, NestedWorldRunIsRejected) {
