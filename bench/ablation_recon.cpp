@@ -6,13 +6,23 @@
 // bench loads the two fastest machines of the paper network to 25% and runs
 // the HMPI EM3D application twice: once creating the group from the stale
 // estimates, once after HMPI_Recon refreshed them.
+//
+// A second table measures what Recon itself costs at scale: the wall time
+// of World start + HMPI_Init + one Recon on the campus-scale cluster at
+// P = 250/500/1000 (median of three), with the run's exact collective
+// work counters — schedules generated, and CollTuner memo misses — read
+// from the coll.* counters the runtime flushes at finalize.
+#include <algorithm>
+#include <chrono>
 #include <mutex>
+#include <vector>
 
 #include "apps/em3d/app.hpp"
 #include "apps/em3d/parallel.hpp"
 #include "bench_util.hpp"
 #include "hmpi/runtime.hpp"
 #include "hnoc/cluster.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace {
 
@@ -62,6 +72,35 @@ double run_em3d(const hnoc::Cluster& cluster, const System& system,
   return time;
 }
 
+struct ReconCost {
+  double wall_s = 0.0;  ///< World start to the host's return from Recon.
+  double builds = 0.0;  ///< coll.schedule.builds of the whole run.
+  double misses = 0.0;  ///< coll.tuner.misses of the whole run.
+};
+
+ReconCost init_and_recon(const hnoc::Cluster& cluster) {
+  telemetry::MetricsRegistry& metrics = telemetry::metrics();
+  telemetry::Counter& builds = metrics.counter("coll.schedule.builds");
+  telemetry::Counter& misses = metrics.counter("coll.tuner.misses");
+  const double builds_before = builds.value();
+  const double misses_before = misses.value();
+  ReconCost cost;
+  const auto start = std::chrono::steady_clock::now();
+  mp::World::run_one_per_processor(cluster, [&](mp::Proc& proc) {
+    Runtime rt(proc);
+    rt.recon([](mp::Proc& q) { q.compute(1.0); });
+    if (rt.is_host()) {
+      cost.wall_s = std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+    }
+    rt.finalize();
+  });
+  cost.builds = builds.value() - builds_before;
+  cost.misses = misses.value() - misses_before;
+  return cost;
+}
+
 }  // namespace
 
 int main() {
@@ -86,5 +125,24 @@ int main() {
   table.add_row({"stale/fresh", support::Table::num(stale / fresh, 3)});
 
   bench::emit(table);
+
+  support::Table scale(
+      "Ablation A2b: HMPI_Init + HMPI_Recon cost at scale "
+      "(large_cluster(P), median wall of 3)",
+      {"P", "init_recon_wall_s", "schedule_builds", "tuner_misses"});
+  for (int p : {250, 500, 1000}) {
+    const hnoc::Cluster large = hnoc::testbeds::large_cluster(p);
+    std::vector<ReconCost> runs;
+    for (int i = 0; i < 3; ++i) runs.push_back(init_and_recon(large));
+    std::sort(runs.begin(), runs.end(),
+              [](const ReconCost& a, const ReconCost& b) {
+                return a.wall_s < b.wall_s;
+              });
+    const ReconCost& median = runs[1];
+    scale.add_row({std::to_string(p), support::Table::num(median.wall_s, 3),
+                   support::Table::num(static_cast<long long>(median.builds)),
+                   support::Table::num(static_cast<long long>(median.misses))});
+  }
+  bench::emit(scale);
   return 0;
 }

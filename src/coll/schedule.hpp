@@ -1,6 +1,8 @@
 // Collective schedules: each algorithm is a deterministic, round-structured
-// message plan generated once and consumed twice —
-//   * executed over mp::Comm point-to-point sends (coll/algorithms.hpp), and
+// message plan, consumed twice —
+//   * executed over mp::Comm point-to-point sends (coll/algorithms.hpp):
+//     a simulated run generates each distinct schedule once and shares it
+//     among all members (mp::World::collective_schedule), and
 //   * replayed over hnoc::NetworkModel link parameters to predict its
 //     virtual duration (coll/cost.hpp) with the simulator's exact formulas.
 // Keeping one generator per algorithm guarantees the cost model prices the

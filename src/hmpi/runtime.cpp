@@ -114,6 +114,16 @@ struct Runtime::Shared {
   /// several groups when it parents a nested one).
   std::map<int, int> busy_count;
 
+  /// Recon rounds per communicator context. Every member counts its own
+  /// rounds in `seen` (indexed by communicator rank); the first member to
+  /// reach round g applies that round's update and sets `applied` to g, so
+  /// later members of the same round skip it (Runtime::recon_impl).
+  struct ReconRounds {
+    long long applied = 0;
+    std::vector<long long> seen;
+  };
+  std::map<int, ReconRounds> recon_rounds;
+
   /// Processors marked suspect by a recon timeout (their last known speed
   /// stays in `network`; suspicion only removes them from member selection).
   std::set<int> suspect_processors;
@@ -143,16 +153,16 @@ struct Runtime::Shared {
   bool quiesced = false;
 
   /// The world's collective-algorithm selector (installed into the World by
-  /// the factory; also kept here for policy updates and diagnostics).
-  /// Lock-ordering contract: CollTuner::select locks its own mutex and then
-  /// the version callback locks `mutex` above — so the runtime must NEVER
-  /// call a tuner method while holding `mutex`, or two threads deadlock.
+  /// the factory; also kept here for policy updates and diagnostics). The
+  /// tuner prices against its own immutable topology snapshot and takes
+  /// only its own mutex, so it never calls back into this state and may be
+  /// used with or without `mutex` held.
   std::shared_ptr<coll::CollTuner> coll_tuner;
 
   /// The world-shared hmpictld scheduler service (docs/scheduler.md),
-  /// lazily created by Runtime::scheduler(). Same lock-ordering contract as
-  /// the tuner: the Scheduler has its own coarse mutex, so never call a
-  /// scheduler method while holding `mutex` above.
+  /// lazily created by Runtime::scheduler(). The Scheduler has its own
+  /// coarse mutex, so never call a scheduler method while holding `mutex`
+  /// above.
   std::unique_ptr<sched::Scheduler> scheduler;
 
   struct Creation {
@@ -236,10 +246,6 @@ Runtime::Runtime(mp::Proc& proc, RuntimeConfig config)
     topts.feedback = config_.coll.feedback;
     s->coll_tuner = std::make_shared<coll::CollTuner>(proc.cluster(), topts);
     s->coll_tuner->set_policy(config_.coll.policy);
-    s->coll_tuner->set_version_source([raw = s.get()]() -> std::uint64_t {
-      std::lock_guard<std::mutex> lock(raw->mutex);
-      return raw->network->version();
-    });
     proc.world().set_coll_selector(s->coll_tuner);
     // Wake rendezvous waiters on any death or abort so they can fail fast
     // instead of staying parked until the engine diagnoses a stall. (The
@@ -263,8 +269,15 @@ void Runtime::finalize(int exit_code) {
   // block on the dead ranks forever, so survivors simply leave.
   if (!proc_->world().any_failed()) proc_->world_comm().barrier();
   finalized_ = true;
-  // Tuner cache statistics become metrics at shutdown (host only, once, so
-  // the counters are not multiplied by the process count).
+  // Tuner and schedule-table statistics become metrics at shutdown (host
+  // only, once, so the counters are not multiplied by the process count).
+  if (is_host()) {
+    const mp::World& world = proc_->world();
+    telemetry::metrics().counter("coll.schedule.builds").add(
+        static_cast<double>(world.schedule_builds()));
+    telemetry::metrics().counter("coll.schedule.reuses").add(
+        static_cast<double>(world.schedule_reuses()));
+  }
   if (is_host() && shared_->coll_tuner) {
     telemetry::metrics().counter("coll.tuner.hits").add(
         static_cast<double>(shared_->coll_tuner->cache_hits()));
@@ -391,27 +404,48 @@ void Runtime::recon_impl(const mp::Comm& comm,
   std::vector<Entry> all(static_cast<std::size_t>(comm.size()));
   comm.allgather(std::span<const Entry>(&mine, 1), std::span<Entry>(all));
 
-  // Every process applies the identical update (idempotent): per processor,
-  // the best speed any of its processes demonstrated. A processor whose
-  // every process timed out keeps its previous estimate but becomes suspect;
-  // any demonstrated speed clears the mark.
+  // The allgathered update is identical on every member, so the first member
+  // of this round to get here applies it for the whole communicator and the
+  // rest skip it: per processor, the best speed any of its processes
+  // demonstrated. A processor whose every process timed out keeps its
+  // previous estimate but becomes suspect; any demonstrated speed clears
+  // the mark.
   bool speeds_changed = false;
+  sched::Scheduler* scheduler = nullptr;
+  std::vector<double> speeds;
   {
     std::lock_guard<std::mutex> lock(shared_->mutex);
-    std::map<int, double> best;
-    for (const Entry& e : all) {
-      double& slot = best[e.processor];
-      slot = std::max(slot, e.speed);
-    }
-    for (const auto& [processor, speed] : best) {
-      if (speed > 0.0) {
-        shared_->network->set_speed(processor, speed);
-        speeds_changed = true;
-        if (shared_->suspect_processors.erase(processor) > 0) {
-          telemetry::metrics().counter("processors_recovered").add();
+    Shared::ReconRounds& rounds = shared_->recon_rounds[comm.context()];
+    rounds.seen.resize(static_cast<std::size_t>(comm.size()), 0);
+    const long long round = ++rounds.seen[static_cast<std::size_t>(comm.rank())];
+    if (rounds.applied < round) {
+      rounds.applied = round;
+      std::map<int, double> best;
+      for (const Entry& e : all) {
+        double& slot = best[e.processor];
+        slot = std::max(slot, e.speed);
+      }
+      for (const auto& [processor, speed] : best) {
+        if (speed > 0.0) {
+          shared_->network->set_speed(processor, speed);
+          speeds_changed = true;
+          if (shared_->suspect_processors.erase(processor) > 0) {
+            telemetry::metrics().counter("processors_recovered").add();
+            if (mp::Tracer* tracer = proc_->world().options().tracer) {
+              mp::TraceEvent event;
+              event.kind = mp::TraceEvent::Kind::kRecover;
+              event.world_rank = proc_->rank();
+              event.processor = processor;
+              event.start_time = proc_->clock();
+              event.end_time = proc_->clock();
+              tracer->record(event);
+            }
+          }
+        } else if (shared_->suspect_processors.insert(processor).second) {
+          telemetry::metrics().counter("processors_suspected").add();
           if (mp::Tracer* tracer = proc_->world().options().tracer) {
             mp::TraceEvent event;
-            event.kind = mp::TraceEvent::Kind::kRecover;
+            event.kind = mp::TraceEvent::Kind::kSuspect;
             event.world_rank = proc_->rank();
             event.processor = processor;
             event.start_time = proc_->clock();
@@ -419,37 +453,21 @@ void Runtime::recon_impl(const mp::Comm& comm,
             tracer->record(event);
           }
         }
-      } else if (shared_->suspect_processors.insert(processor).second) {
-        telemetry::metrics().counter("processors_suspected").add();
-        if (mp::Tracer* tracer = proc_->world().options().tracer) {
-          mp::TraceEvent event;
-          event.kind = mp::TraceEvent::Kind::kSuspect;
-          event.world_rank = proc_->rank();
-          event.processor = processor;
-          event.start_time = proc_->clock();
-          event.end_time = proc_->clock();
-          tracer->record(event);
-        }
+      }
+      scheduler = shared_->scheduler.get();
+      if (speeds_changed && scheduler != nullptr) {
+        speeds = shared_->network->speeds();
       }
     }
   }
-  // Version keying already makes the old entries unreachable; drop them so
-  // repeated recons do not accumulate dead memory. (Collective call: every
-  // process clears, which is an idempotent no-op after the first.)
-  if (speeds_changed) shared_->estimate_cache.clear();
-
-  // Re-seed the scheduler service's base speeds from the refreshed network
-  // model so residual-capacity pricing tracks recon (idempotent across the
-  // collective). Copy the speed vector under the Shared lock, then call out
-  // with no lock held (see Shared::scheduler's lock-ordering note).
   if (speeds_changed) {
-    sched::Scheduler* scheduler = nullptr;
-    std::vector<double> speeds;
-    {
-      std::lock_guard<std::mutex> lock(shared_->mutex);
-      scheduler = shared_->scheduler.get();
-      if (scheduler != nullptr) speeds = shared_->network->speeds();
-    }
+    // Version keying already makes the old entries unreachable; drop them so
+    // repeated recons do not accumulate dead memory.
+    shared_->estimate_cache.clear();
+    // Re-seed the scheduler service's base speeds from the refreshed network
+    // model so residual-capacity pricing tracks recon. The speed vector was
+    // copied under the Shared lock; call out with no lock held (see
+    // Shared::scheduler's lock-ordering note).
     if (scheduler != nullptr) scheduler->refresh_speeds(speeds);
   }
 
@@ -460,8 +478,7 @@ void Runtime::recon_impl(const mp::Comm& comm,
   // back until all promotions of this round are done — so tuner-driven
   // selections before and after the bracket each see one consistent
   // ranking on every member. Pinning the bracket's own barrier algorithm
-  // keeps it independent of the very ranking being swapped. Note the
-  // promotion runs with no Shared lock held (see Shared::coll_tuner).
+  // keeps it independent of the very ranking being swapped.
   if (config_.coll.feedback && shared_->coll_tuner) {
     mp::Comm sync = comm;
     coll::CollPolicy pinned;

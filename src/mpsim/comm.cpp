@@ -1,6 +1,7 @@
 #include "mpsim/comm.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <sstream>
@@ -20,6 +21,42 @@ telemetry::Counter& dropped_counter() {
 telemetry::Counter& delayed_counter() {
   static telemetry::Counter& c = telemetry::metrics().counter("messages_delayed");
   return c;
+}
+
+// Per-(op, algo) collective metrics, looked up once and then cached: the
+// registry never moves a metric, so the pointers stay valid across resets.
+// Algorithm values past the table (never produced by coll's own tables) go
+// to the registry every time.
+constexpr int kAlgoSlots = 8;
+
+telemetry::Counter& coll_algo_counter(coll::CollOp op, int algo) {
+  static std::atomic<telemetry::Counter*> cache[coll::kNumCollOps][kAlgoSlots];
+  const auto lookup = [&] {
+    return &telemetry::metrics().counter(std::string("coll.") +
+                                         coll::op_name(op) + "." +
+                                         coll::algo_name(op, algo));
+  };
+  if (algo < 0 || algo >= kAlgoSlots) return *lookup();
+  std::atomic<telemetry::Counter*>& slot =
+      cache[static_cast<int>(op)][algo];
+  telemetry::Counter* c = slot.load();
+  if (c == nullptr) {
+    c = lookup();
+    slot.store(c);
+  }
+  return *c;
+}
+
+telemetry::Histogram& coll_seconds_histogram(coll::CollOp op) {
+  static std::atomic<telemetry::Histogram*> cache[coll::kNumCollOps];
+  std::atomic<telemetry::Histogram*>& slot = cache[static_cast<int>(op)];
+  telemetry::Histogram* h = slot.load();
+  if (h == nullptr) {
+    h = &telemetry::metrics().histogram(std::string("coll.") +
+                                        coll::op_name(op) + ".seconds");
+    slot.store(h);
+  }
+  return *h;
 }
 
 }  // namespace
@@ -42,10 +79,11 @@ Comm Proc::world_comm() {
 
 void Comm::check_member_rank(int r, const char* what) const {
   support::require(valid(), "operation on an invalid communicator");
-  support::require(r >= 0 && r < size(),
-                   std::string(what) + ": rank " + std::to_string(r) +
-                       " out of range for communicator of size " +
-                       std::to_string(size()));
+  if (r < 0 || r >= size()) {
+    throw InvalidArgument(std::string(what) + ": rank " + std::to_string(r) +
+                          " out of range for communicator of size " +
+                          std::to_string(size()));
+  }
 }
 
 int Comm::world_rank_of(int r) const {
@@ -350,10 +388,7 @@ Comm::CollChoice Comm::coll_select(coll::CollOp op, std::size_t bytes) const {
   }
   if (choice.algo == 0) choice.algo = coll::legacy_default(op);
 
-  telemetry::metrics()
-      .counter(std::string("coll.") + coll::op_name(op) + "." +
-               coll::algo_name(op, choice.algo))
-      .add();
+  coll_algo_counter(op, choice.algo).add();
 
   // One selection event per collective call, recorded by the communicator's
   // rank 0 (every member resolves the same algorithm by construction).
@@ -379,33 +414,29 @@ Comm::CollChoice Comm::coll_select(coll::CollOp op, std::size_t bytes) const {
   return choice;
 }
 
-std::vector<coll::Step> Comm::coll_schedule(coll::CollOp op, int algo,
-                                            int root, std::size_t count,
-                                            std::size_t elem_size) const {
+World::Schedule Comm::coll_schedule(coll::CollOp op, int algo, int root,
+                                    std::size_t count,
+                                    std::size_t elem_size) const {
   // Only the two-level bcast reads placement; skip the lookup otherwise.
   // On a two-level cluster the placement is collapsed to LAN ids, so the
   // leader election spans whole LANs rather than single machines (flat
   // clusters pass machine ids through unchanged).
-  std::vector<int> procs;
-  std::span<const int> procs_span;
+  std::vector<int> groups;
   if (op == coll::CollOp::kBcast &&
       static_cast<coll::BcastAlgo>(algo) == coll::BcastAlgo::kTwoLevel) {
-    procs = coll::two_level_groups(proc_->world().cluster(), member_procs());
-    procs_span = procs;
+    groups = coll::two_level_groups(proc_->world().cluster(), member_procs());
   }
   const std::size_t segment_elems = std::max<std::size_t>(
       1, coll::kChainSegmentBytes / std::max<std::size_t>(1, elem_size));
-  return coll::schedule_for(op, algo, size(), root, count, procs_span,
-                            segment_elems);
+  return proc_->world().collective_schedule(op, algo, size(), root, count,
+                                            segment_elems, groups);
 }
 
 void Comm::coll_finish(coll::CollOp op, int algo, std::size_t bytes,
                        double start_clock, double predicted_s) const {
   proc_->pop_coll_note();
   const double elapsed = proc_->clock() - start_clock;
-  telemetry::metrics()
-      .histogram(std::string("coll.") + coll::op_name(op) + ".seconds")
-      .observe(elapsed);
+  coll_seconds_histogram(op).observe(elapsed);
   if (coll::Selector* selector = proc_->world().coll_selector()) {
     selector->observe(op, algo, bytes, elapsed, predicted_s);
   }
@@ -424,9 +455,9 @@ void Comm::barrier() const {
   if (size() <= 1) return;
   const CollChoice choice = coll_select(coll::CollOp::kBarrier, 0);
   const double start = proc_->clock();
-  const std::vector<coll::Step> steps =
+  const World::Schedule steps =
       coll_schedule(coll::CollOp::kBarrier, choice.algo, 0, 0, 1);
-  coll::run_schedule(*this, std::span<const coll::Step>(steps),
+  coll::run_schedule(*this, std::span<const coll::Step>(*steps),
                      std::span<std::byte>(),
                      [](std::byte a, std::byte) { return a; },
                      internal_tag::kBarrierBase);
@@ -439,9 +470,9 @@ void Comm::bcast_bytes(std::span<std::byte> data, int root) const {
   if (size() <= 1) return;
   const CollChoice choice = coll_select(coll::CollOp::kBcast, data.size());
   const double start = proc_->clock();
-  const std::vector<coll::Step> steps =
+  const World::Schedule steps =
       coll_schedule(coll::CollOp::kBcast, choice.algo, root, data.size(), 1);
-  coll::run_schedule(*this, std::span<const coll::Step>(steps), data,
+  coll::run_schedule(*this, std::span<const coll::Step>(*steps), data,
                      [](std::byte a, std::byte) { return a; },
                      internal_tag::kBcastBase);
   coll_finish(coll::CollOp::kBcast, choice.algo, data.size(), start,

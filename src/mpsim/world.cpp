@@ -282,6 +282,71 @@ std::shared_ptr<void> World::get_or_create_shared(
   return shared_;
 }
 
+namespace {
+
+std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
+  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  return h;
+}
+
+}  // namespace
+
+std::size_t World::ScheduleKeyHash::operator()(
+    const ScheduleKey& k) const noexcept {
+  std::uint64_t h = (static_cast<std::uint64_t>(k.op) << 8) | k.algo;
+  h = mix(h, static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.n)));
+  h = mix(h, static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.root)));
+  h = mix(h, k.count);
+  h = mix(h, k.segment_elems);
+  h = mix(h, k.groups_hash);
+  return static_cast<std::size_t>(h);
+}
+
+World::Schedule World::collective_schedule(coll::CollOp op, int algo, int n,
+                                           int root, std::size_t count,
+                                           std::size_t segment_elems,
+                                           std::span<const int> groups) {
+  ScheduleKey key;
+  key.op = static_cast<std::uint8_t>(op);
+  key.algo = static_cast<std::uint8_t>(algo);
+  key.n = n;
+  key.root = root;
+  key.count = count;
+  // Only the bcast generators read the segment size.
+  key.segment_elems = op == coll::CollOp::kBcast ? segment_elems : 0;
+  if (!groups.empty()) {
+    std::uint64_t h = groups.size();
+    for (int g : groups) h = mix(h, static_cast<std::uint32_t>(g));
+    key.groups_hash = h;
+  }
+
+  std::lock_guard<std::mutex> lock(schedule_mutex_);
+  auto it = schedules_.find(key);
+  if (it != schedules_.end() &&
+      std::equal(groups.begin(), groups.end(), it->second.groups.begin(),
+                 it->second.groups.end())) {
+    ++schedule_reuses_;
+    return it->second.steps;
+  }
+  ++schedule_builds_;
+  auto steps = std::make_shared<const std::vector<coll::Step>>(
+      coll::schedule_for(op, algo, n, root, count, groups, segment_elems));
+  if (it != schedules_.end()) return steps;  // hash collision: serve uncached
+  schedules_.emplace(
+      key, ScheduleEntry{steps, std::vector<int>(groups.begin(), groups.end())});
+  return steps;
+}
+
+std::uint64_t World::schedule_builds() const {
+  std::lock_guard<std::mutex> lock(schedule_mutex_);
+  return schedule_builds_;
+}
+
+std::uint64_t World::schedule_reuses() const {
+  std::lock_guard<std::mutex> lock(schedule_mutex_);
+  return schedule_reuses_;
+}
+
 void World::abort_all() {
   aborted_.store(true);
   for (auto& mb : mailboxes_) mb->shutdown();

@@ -23,11 +23,14 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <span>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "coll/policy.hpp"
+#include "coll/schedule.hpp"
 #include "hnoc/cluster.hpp"
 #include "mpsim/engine.hpp"
 #include "mpsim/fault.hpp"
@@ -320,6 +323,23 @@ class World {
     return coll_selector_.get();
   }
 
+  /// One collective's message schedule, shared by every member that runs it.
+  using Schedule = std::shared_ptr<const std::vector<coll::Step>>;
+
+  /// coll::schedule_for(op, algo, n, root, count, groups, segment_elems),
+  /// generated on the first request and shared with every later request for
+  /// the same arguments until the run ends (docs/collectives.md §1).
+  /// `groups` is the LAN-collapsed placement and must be empty except for
+  /// the two-level bcast, the one schedule that reads placement.
+  Schedule collective_schedule(coll::CollOp op, int algo, int n, int root,
+                               std::size_t count, std::size_t segment_elems,
+                               std::span<const int> groups);
+
+  /// Schedules generated / served from the table so far in this run
+  /// (flushed as coll.schedule.builds / coll.schedule.reuses at finalize).
+  std::uint64_t schedule_builds() const;
+  std::uint64_t schedule_reuses() const;
+
   /// The run's causal log (docs/observability.md). Always present; mode kOff
   /// makes record() a no-op.
   telemetry::CausalLog& causal_log() noexcept { return *causal_; }
@@ -361,6 +381,32 @@ class World {
   };
   mutable std::mutex pending_mutex_;
   std::map<int, PendingRecv> pending_recvs_;
+
+  // Collective schedule table: schedule_for's scalar arguments as a flat
+  // key, plus a hash of the two-level bcast's groups (the entry keeps the
+  // groups themselves, so a hash collision can never serve a wrong
+  // schedule).
+  struct ScheduleKey {
+    std::uint8_t op = 0;
+    std::uint8_t algo = 0;
+    int n = 0;
+    int root = 0;
+    std::size_t count = 0;
+    std::size_t segment_elems = 0;
+    std::uint64_t groups_hash = 0;
+    bool operator==(const ScheduleKey&) const = default;
+  };
+  struct ScheduleKeyHash {
+    std::size_t operator()(const ScheduleKey& k) const noexcept;
+  };
+  struct ScheduleEntry {
+    Schedule steps;
+    std::vector<int> groups;
+  };
+  mutable std::mutex schedule_mutex_;
+  std::unordered_map<ScheduleKey, ScheduleEntry, ScheduleKeyHash> schedules_;
+  std::uint64_t schedule_builds_ = 0;
+  std::uint64_t schedule_reuses_ = 0;
 
   std::mutex shared_mutex_;
   std::shared_ptr<void> shared_;

@@ -105,5 +105,11 @@ inline void require(bool cond, const std::string& what) {
   if (!cond) throw InvalidArgument(what);
 }
 
+/// Literal-message form: the std::string is only built when the check
+/// fails, so hot paths pay nothing for the message.
+inline void require(bool cond, const char* what) {
+  if (!cond) throw InvalidArgument(what);
+}
+
 }  // namespace support
 }  // namespace hmpi

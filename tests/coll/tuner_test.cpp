@@ -1,8 +1,9 @@
-// CollTuner behaviour: memoization keyed on (op, size bucket, roster, model
-// version), invalidation on version bumps, policy/predict bypasses, the
-// predicted-fastest guarantee, measured-feedback promotion, and selection
-// determinism across runtime configurations (search threads, estimate
-// cache) that must not influence collective choices.
+// CollTuner behaviour: memoization keyed on (op, size bucket, roster),
+// selections that survive Recon's speed changes without a memo miss,
+// policy/predict bypasses, the predicted-fastest guarantee,
+// measured-feedback promotion, and selection determinism across runtime
+// configurations (search threads, estimate cache) that must not influence
+// collective choices.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -28,8 +29,6 @@ std::vector<int> full_roster(const hnoc::Cluster& cluster) {
 TEST(CollTunerTest, MemoizesPerSizeBucket) {
   hnoc::Cluster cluster = hnoc::testbeds::paper_em3d_network();
   CollTuner tuner(cluster, CollTuner::Options{});
-  std::uint64_t version = 1;
-  tuner.set_version_source([&] { return version; });
   const std::vector<int> procs = full_roster(cluster);
 
   double predicted = -1.0;
@@ -45,20 +44,56 @@ TEST(CollTunerTest, MemoizesPerSizeBucket) {
   EXPECT_EQ(tuner.cache_misses(), 2u);
 }
 
-TEST(CollTunerTest, VersionBumpInvalidates) {
+// The tuner prices links and topology only, so a Recon that changes every
+// processor's speed must leave each selection, its prediction and the memo
+// untouched: the second Recon's own allgather and barrier, and every query
+// after it, are memo hits.
+TEST(CollTunerTest, SpeedChangesKeepSelectionsWithoutMisses) {
   hnoc::Cluster cluster = hnoc::testbeds::paper_em3d_network();
-  CollTuner tuner(cluster, CollTuner::Options{});
-  std::uint64_t version = 1;
-  tuner.set_version_source([&] { return version; });
-  const std::vector<int> procs = full_roster(cluster);
-
-  double predicted = -1.0;
-  tuner.select(CollOp::kAllreduce, procs, 4096, &predicted);
-  tuner.select(CollOp::kAllreduce, procs, 4096, &predicted);
-  EXPECT_EQ(tuner.cache_hits(), 1u);
-  version = 2;  // a recon bumped the model
-  tuner.select(CollOp::kAllreduce, procs, 4096, &predicted);
-  EXPECT_EQ(tuner.cache_misses(), 2u);
+  using Row = std::tuple<int, int, double>;  // op, algo, predicted
+  std::vector<Row> before;
+  std::vector<Row> after;
+  std::uint64_t misses_before = 0;
+  std::uint64_t misses_after = 0;
+  std::vector<double> speeds_before;
+  std::vector<double> speeds_after;
+  mp::World::run_one_per_processor(cluster, [&](mp::Proc& proc) {
+    Runtime rt(proc);
+    const auto* tuner = dynamic_cast<const CollTuner*>(proc.world().coll_selector());
+    ASSERT_NE(tuner, nullptr);
+    const auto query = [&](std::vector<Row>& rows) {
+      for (CollOp op : {CollOp::kBcast, CollOp::kReduce, CollOp::kAllreduce,
+                        CollOp::kReduceScatter, CollOp::kAllgather,
+                        CollOp::kBarrier}) {
+        for (std::size_t bytes : {std::size_t{8}, std::size_t{4096},
+                                  std::size_t{1} << 20}) {
+          const Runtime::CollSelection sel = rt.coll_selection(op, bytes);
+          rows.emplace_back(static_cast<int>(op), sel.algo, sel.predicted_s);
+        }
+      }
+    };
+    rt.recon([](mp::Proc& q) { q.compute(1.0); });
+    if (rt.is_host()) {
+      query(before);
+      misses_before = tuner->cache_misses();
+      speeds_before = rt.processor_speeds();
+    }
+    // A different benchmark per rank: every speed estimate changes.
+    rt.recon([](mp::Proc& q) { q.compute(2.0 + q.rank()); });
+    if (rt.is_host()) {
+      query(after);
+      misses_after = tuner->cache_misses();
+      speeds_after = rt.processor_speeds();
+    }
+    rt.finalize();
+  });
+  ASSERT_FALSE(before.empty());
+  ASSERT_EQ(speeds_before.size(), speeds_after.size());
+  for (std::size_t p = 0; p < speeds_before.size(); ++p) {
+    EXPECT_NE(speeds_before[p], speeds_after[p]) << "processor " << p;
+  }
+  EXPECT_EQ(after, before);
+  EXPECT_EQ(misses_after, misses_before);
 }
 
 TEST(CollTunerTest, ForcedPolicyBypassesPrediction) {
@@ -124,8 +159,6 @@ TEST(CollTunerTest, FeedbackPromotionReRanks) {
   options.feedback = true;
   options.feedback_alpha = 1.0;  // adopt an observation immediately
   CollTuner tuner(cluster, options);
-  std::uint64_t version = 1;
-  tuner.set_version_source([&] { return version; });
   const std::vector<int> procs = full_roster(cluster);
 
   double predicted = -1.0;
@@ -147,8 +180,6 @@ TEST(CollTunerTest, FeedbackRatioReadsThePromotedEwma) {
   options.feedback = true;
   options.feedback_alpha = 1.0;
   CollTuner tuner(cluster, options);
-  std::uint64_t version = 1;
-  tuner.set_version_source([&] { return version; });
   const std::vector<int> procs = full_roster(cluster);
 
   double predicted = -1.0;
@@ -170,7 +201,7 @@ TEST(CollTunerTest, FeedbackRatioReadsThePromotedEwma) {
 
 // Selections must be identical whatever the mapper threading or estimator
 // caching configuration: the tuner's inputs are only (op, roster, bucket,
-// model version, policy).
+// policy).
 TEST(CollTunerTest, RuntimeSelectionsAreConfigInvariant) {
   hnoc::Cluster cluster = hnoc::testbeds::paper_em3d_network();
   using Row = std::tuple<int, int, double>;  // op, algo, predicted

@@ -8,7 +8,8 @@
 //   * Metrics dumps ({"counters": ..., "histograms": ...}): sections must be
 //     objects, histogram entries need count/sum/buckets, and every metric in
 //     the reserved `coll.` namespace must follow the collective-subsystem
-//     grammar: counters `coll.tuner.hits|misses` or `coll.<op>.<algo>`,
+//     grammar: counters `coll.tuner.hits|misses`,
+//     `coll.schedule.builds|reuses` or `coll.<op>.<algo>`,
 //     histograms `coll.<op>.seconds`, with <op>/<algo> names from the
 //     coll policy tables (docs/collectives.md). Metrics in the reserved
 //     `est.` namespace must follow the estimator grammar: counters
@@ -128,6 +129,9 @@ bool valid_coll_metric(const std::string& name, bool histogram) {
   const std::string tail = rest.substr(dot + 1);
   if (!histogram && head == "tuner") {
     return tail == "hits" || tail == "misses";
+  }
+  if (!histogram && head == "schedule") {
+    return tail == "builds" || tail == "reuses";
   }
   for (int i = 0; i < hmpi::coll::kNumCollOps; ++i) {
     const auto op = static_cast<hmpi::coll::CollOp>(i);
@@ -295,7 +299,8 @@ void check_metrics(const std::string& file, const JsonValue& doc) {
           !valid_coll_metric(name, /*histogram=*/false)) {
         fail(file, "counter '" + name +
                        "' violates the coll.* grammar (expected "
-                       "coll.tuner.hits|misses or coll.<op>.<algo>)");
+                       "coll.tuner.hits|misses, "
+                       "coll.schedule.builds|reuses or coll.<op>.<algo>)");
       }
       if (name.rfind("crit.", 0) == 0) {
         fail(file, "counter '" + name +
